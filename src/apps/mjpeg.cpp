@@ -111,13 +111,11 @@ MjpegDecodeResult run_mjpeg_decode(const MjpegDecodeConfig& config) {
   SUP_CHECK_MSG(prog.is_ok(), prog.status().to_string().c_str());
 
   obs::MetricsRegistry metrics;
-  hinch::RunOptions options;
-  options.run.iterations = config.frames;
-  options.run.window = config.window;
-  options.backend = hinch::Backend::kThreads;
-  options.workers = config.workers;
-  options.metrics = &metrics;
-  hinch::RunResult rr = hinch::run(*prog.value(), options);
+  hinch::RunConfig run;
+  run.iterations = config.frames;
+  run.window = config.window;
+  hinch::ThreadResult rr = hinch::run_on_threads(
+      *prog.value(), run, config.workers, nullptr, &metrics);
 
   MjpegDecodeResult result;
   result.wall_seconds = rr.wall_seconds;

@@ -930,6 +930,10 @@ support::Status decode_to_coefficients_into(const uint8_t* data, size_t size,
         for (int i = 0; i < ns; ++i) {
           int cid = seg[1 + 2 * i];
           int tables = seg[2 + 2 * i];
+          // Td/Ta index the 4-entry Huffman table arrays.
+          if ((tables >> 4) > 3 || (tables & 0x0f) > 3)
+            return bad("bad SOS table selector at byte " +
+                       std::to_string(pos + 4 + 2 * static_cast<size_t>(i)));
           bool found = false;
           for (FrameComponent& c : comps) {
             if (c.id == cid) {

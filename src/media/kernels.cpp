@@ -11,7 +11,9 @@
 // Hot-path structure: every kernel splits border columns/rows from the
 // interior so the inner loops run clamp-free on hoisted row pointers;
 // the interiors themselves go through the KernelOps dispatch table
-// (scalar / SSE2 / AVX2 / NEON, kernels_simd.hpp). All tiers must stay
+// (scalar / SSE2 / AVX2, kernels_simd.hpp). Every tier's rows start from
+// one scalar source (kernels_rows.inc) compiled per ISA; this file's
+// table is its baseline build, all of it. All tiers must stay
 // bit-identical to the straightforward scalar formulation
 // (tests/test_kernels_equiv.cpp pins them against unoptimized references
 // and against each other); the `*_cycles` companions model the simulated
@@ -22,11 +24,6 @@ namespace {
 
 inline int clampi(int v, int lo, int hi) {
   return v < lo ? lo : (v > hi ? hi : v);
-}
-
-inline uint8_t mix(uint8_t fg, uint8_t bg, int alpha256) {
-  int v = (fg * alpha256 + bg * (256 - alpha256) + 128) >> 8;
-  return static_cast<uint8_t>(v);
 }
 
 // Average of one factor x factor source box with rounding (generic-factor
@@ -56,99 +53,19 @@ inline void blur_h_border(const uint8_t* in, uint8_t* out, int x0, int x1,
 
 // ---- scalar row kernels (the reference tier) --------------------------------
 
-void blur_h3_row_scalar(const uint8_t* in, uint8_t* out, int w) {
-  const int t0 = detail::kBlurTaps3[0], t1 = detail::kBlurTaps3[1],
-            t2 = detail::kBlurTaps3[2];
-  for (int x = 1; x < w - 1; ++x) {
-    int acc = 128 + t0 * in[x - 1] + t1 * in[x] + t2 * in[x + 1];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-void blur_h5_row_scalar(const uint8_t* in, uint8_t* out, int w) {
-  const int t0 = detail::kBlurTaps5[0], t1 = detail::kBlurTaps5[1],
-            t2 = detail::kBlurTaps5[2], t3 = detail::kBlurTaps5[3],
-            t4 = detail::kBlurTaps5[4];
-  for (int x = 2; x < w - 2; ++x) {
-    int acc = 128 + t0 * in[x - 2] + t1 * in[x - 1] + t2 * in[x] +
-              t3 * in[x + 1] + t4 * in[x + 2];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-void blur_v3_row_scalar(const uint8_t* ra, const uint8_t* rb,
-                        const uint8_t* rc, uint8_t* out, int w) {
-  const int t0 = detail::kBlurTaps3[0], t1 = detail::kBlurTaps3[1],
-            t2 = detail::kBlurTaps3[2];
-  for (int x = 0; x < w; ++x) {
-    int acc = 128 + t0 * ra[x] + t1 * rb[x] + t2 * rc[x];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-void blur_v5_row_scalar(const uint8_t* ra, const uint8_t* rb,
-                        const uint8_t* rc, const uint8_t* rd,
-                        const uint8_t* re, uint8_t* out, int w) {
-  const int t0 = detail::kBlurTaps5[0], t1 = detail::kBlurTaps5[1],
-            t2 = detail::kBlurTaps5[2], t3 = detail::kBlurTaps5[3],
-            t4 = detail::kBlurTaps5[4];
-  for (int x = 0; x < w; ++x) {
-    int acc = 128 + t0 * ra[x] + t1 * rb[x] + t2 * rc[x] + t3 * rd[x] +
-              t4 * re[x];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-void down2_row_scalar(const uint8_t* a, const uint8_t* b, uint8_t* out,
-                      int n) {
-  for (int x = 0; x < n; ++x) {
-    unsigned sum = static_cast<unsigned>(a[0]) + a[1] + b[0] + b[1];
-    out[x] = static_cast<uint8_t>((sum + 2) >> 2);
-    a += 2;
-    b += 2;
-  }
-}
-
-void down4_row_scalar(const uint8_t* r0, const uint8_t* r1, const uint8_t* r2,
-                      const uint8_t* r3, uint8_t* out, int n) {
-  for (int x = 0; x < n; ++x) {
-    unsigned sum = 0;
-    for (int i = 0; i < 4; ++i)
-      sum += static_cast<unsigned>(r0[i]) + r1[i] + r2[i] + r3[i];
-    out[x] = static_cast<uint8_t>((sum + 8) >> 4);
-    r0 += 4;
-    r1 += 4;
-    r2 += 4;
-    r3 += 4;
-  }
-}
-
-void blend_row_scalar(const uint8_t* src, uint8_t* dst, int n, int alpha256) {
-  for (int x = 0; x < n; ++x) dst[x] = mix(src[x], dst[x], alpha256);
-}
-
-void down2_blend_row_scalar(const uint8_t* a, const uint8_t* b, uint8_t* dst,
-                            int n, int alpha256) {
-  for (int x = 0; x < n; ++x) {
-    unsigned sum = static_cast<unsigned>(a[0]) + a[1] + b[0] + b[1];
-    uint8_t v = static_cast<uint8_t>((sum + 2) >> 2);
-    dst[x] = mix(v, dst[x], alpha256);
-    a += 2;
-    b += 2;
-  }
-}
+#include "media/kernels_rows.inc"
 
 const detail::KernelOps kScalarOps = {
     KernelDispatch::kScalar,
     "scalar",
-    &blur_h3_row_scalar,
-    &blur_h5_row_scalar,
-    &blur_v3_row_scalar,
-    &blur_v5_row_scalar,
-    &down2_row_scalar,
-    &down4_row_scalar,
-    &blend_row_scalar,
-    &down2_blend_row_scalar,
+    &blur_h3_row,
+    &blur_h5_row,
+    &blur_v3_row,
+    &blur_v5_row,
+    &down2_row,
+    &down4_row,
+    &blend_row,
+    &down2_blend_row,
     &detail::idct8x8_scalar,
 };
 
@@ -168,13 +85,9 @@ const detail::KernelOps* resolve(KernelDispatch d) {
       return f.sse2 ? detail::sse2_ops() : nullptr;
     case KernelDispatch::kAvx2:
       return f.avx2 ? detail::avx2_ops() : nullptr;
-    case KernelDispatch::kNeon:
-      return f.neon ? detail::neon_ops() : nullptr;
     case KernelDispatch::kAuto: {
       if (f.avx2)
         if (const detail::KernelOps* t = detail::avx2_ops()) return t;
-      if (f.neon)
-        if (const detail::KernelOps* t = detail::neon_ops()) return t;
       if (f.sse2)
         if (const detail::KernelOps* t = detail::sse2_ops()) return t;
       return &kScalarOps;
@@ -232,8 +145,6 @@ const char* kernel_dispatch_name(KernelDispatch dispatch) {
       return "sse2";
     case KernelDispatch::kAvx2:
       return "avx2";
-    case KernelDispatch::kNeon:
-      return "neon";
   }
   return "?";
 }

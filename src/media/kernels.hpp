@@ -19,7 +19,8 @@ namespace media {
 // Every pixel kernel below (and the fixed-point AAN IDCT in jpeg.hpp)
 // routes its inner row loops through one of several implementation
 // tiers, selected once at runtime — the same reference-retention pattern
-// as HuffmanImpl/IdctImpl, extended to vector instruction sets. The
+// as HuffmanImpl/IdctImpl, extended to x86 vector instruction sets
+// (other hosts run the scalar tier, vectorized by the compiler). The
 // scalar tier is the bit-exactness reference; every vector tier must
 // produce byte-identical output (tests/test_kernels_equiv.cpp pins this
 // across ragged widths and borders). See docs/PERF.md ("dispatch
@@ -29,7 +30,6 @@ enum class KernelDispatch {
   kScalar,  // portable reference (also forced by HINCH_FORCE_SCALAR)
   kSse2,    // 128-bit x86
   kAvx2,    // 256-bit x86
-  kNeon,    // 128-bit AArch64
 };
 
 // Select the tier. kAuto resolves through support::cpu_features(), which

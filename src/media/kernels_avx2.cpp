@@ -1,9 +1,15 @@
 // AVX2 tier of the media kernel dispatch table (kernels_simd.hpp).
 //
-// Byte kernels: 256-bit versions of the SSE2 scheme — widen u8 -> u16
-// with per-lane unpacks, do the exact scalar arithmetic in 16-bit lanes
-// (accumulators proven <= 65408), pack back with the mirrored per-lane
-// pack so byte order is preserved without cross-lane shuffles.
+// Blur and blend rows: the shared scalar source (kernels_rows.inc)
+// compiled with -mavx2; intrinsics do not beat it by the required
+// margin (docs/PERF.md, "One-source rule").
+//
+// Box downscales and the fused downscale + blend: hand-written, because
+// they beat that compiled twin by 1.3-2.2x. Widen u8 -> u16 with per-lane
+// unpacks, do the exact scalar arithmetic in 16-bit lanes (accumulators
+// proven <= 65408), pack back with the mirrored per-lane pack so byte
+// order is preserved without cross-lane shuffles; ragged tails run the
+// scalar row.
 //
 // IDCT: the full fixed-point AAN flowgraph in int32 lanes, one lane per
 // column (pass 1) / per row (pass 2, after an 8x8 transpose). aan_mul is
@@ -25,10 +31,7 @@
 namespace media::detail {
 namespace {
 
-inline uint8_t mix1(uint8_t fg, uint8_t bg, int alpha256) {
-  return static_cast<uint8_t>(
-      (fg * alpha256 + bg * (256 - alpha256) + 128) >> 8);
-}
+#include "media/kernels_rows.inc"
 
 inline __m256i load256(const uint8_t* p) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -36,141 +39,6 @@ inline __m256i load256(const uint8_t* p) {
 
 inline void store256(uint8_t* p, __m256i v) {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-}
-
-// ---- Gaussian blur ---------------------------------------------------------
-
-// 3-tap accumulate on one u16 half (lo or hi unpack of the three taps).
-inline __m256i blur3_half(__m256i a, __m256i b, __m256i c, __m256i t0,
-                          __m256i t1) {
-  return _mm256_add_epi16(
-      _mm256_set1_epi16(128),
-      _mm256_add_epi16(_mm256_mullo_epi16(_mm256_add_epi16(a, c), t0),
-                       _mm256_mullo_epi16(b, t1)));
-}
-
-inline __m256i blur5_half(__m256i a, __m256i b, __m256i c, __m256i d,
-                          __m256i e, __m256i t0, __m256i t1, __m256i t2) {
-  return _mm256_add_epi16(
-      _mm256_set1_epi16(128),
-      _mm256_add_epi16(
-          _mm256_add_epi16(_mm256_mullo_epi16(_mm256_add_epi16(a, e), t0),
-                           _mm256_mullo_epi16(_mm256_add_epi16(b, d), t1)),
-          _mm256_mullo_epi16(c, t2)));
-}
-
-void blur_h3_row(const uint8_t* in, uint8_t* out, int w) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i t0 = _mm256_set1_epi16(kBlurTaps3[0]);
-  const __m256i t1 = _mm256_set1_epi16(kBlurTaps3[1]);
-  int x = 1;
-  for (; x + 32 <= w - 1; x += 32) {
-    __m256i l = load256(in + x - 1);
-    __m256i c = load256(in + x);
-    __m256i r = load256(in + x + 1);
-    __m256i lo = blur3_half(_mm256_unpacklo_epi8(l, zero),
-                            _mm256_unpacklo_epi8(c, zero),
-                            _mm256_unpacklo_epi8(r, zero), t0, t1);
-    __m256i hi = blur3_half(_mm256_unpackhi_epi8(l, zero),
-                            _mm256_unpackhi_epi8(c, zero),
-                            _mm256_unpackhi_epi8(r, zero), t0, t1);
-    store256(out + x, _mm256_packus_epi16(_mm256_srli_epi16(lo, 8),
-                                          _mm256_srli_epi16(hi, 8)));
-  }
-  for (; x < w - 1; ++x) {
-    int acc = 128 + kBlurTaps3[0] * in[x - 1] + kBlurTaps3[1] * in[x] +
-              kBlurTaps3[2] * in[x + 1];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-void blur_h5_row(const uint8_t* in, uint8_t* out, int w) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i t0 = _mm256_set1_epi16(kBlurTaps5[0]);
-  const __m256i t1 = _mm256_set1_epi16(kBlurTaps5[1]);
-  const __m256i t2 = _mm256_set1_epi16(kBlurTaps5[2]);
-  int x = 2;
-  for (; x + 32 <= w - 2; x += 32) {
-    __m256i a = load256(in + x - 2);
-    __m256i b = load256(in + x - 1);
-    __m256i c = load256(in + x);
-    __m256i d = load256(in + x + 1);
-    __m256i e = load256(in + x + 2);
-    __m256i lo = blur5_half(
-        _mm256_unpacklo_epi8(a, zero), _mm256_unpacklo_epi8(b, zero),
-        _mm256_unpacklo_epi8(c, zero), _mm256_unpacklo_epi8(d, zero),
-        _mm256_unpacklo_epi8(e, zero), t0, t1, t2);
-    __m256i hi = blur5_half(
-        _mm256_unpackhi_epi8(a, zero), _mm256_unpackhi_epi8(b, zero),
-        _mm256_unpackhi_epi8(c, zero), _mm256_unpackhi_epi8(d, zero),
-        _mm256_unpackhi_epi8(e, zero), t0, t1, t2);
-    store256(out + x, _mm256_packus_epi16(_mm256_srli_epi16(lo, 8),
-                                          _mm256_srli_epi16(hi, 8)));
-  }
-  for (; x < w - 2; ++x) {
-    int acc = 128 + kBlurTaps5[0] * in[x - 2] + kBlurTaps5[1] * in[x - 1] +
-              kBlurTaps5[2] * in[x] + kBlurTaps5[3] * in[x + 1] +
-              kBlurTaps5[4] * in[x + 2];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-void blur_v3_row(const uint8_t* ra, const uint8_t* rb, const uint8_t* rc,
-                 uint8_t* out, int w) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i t0 = _mm256_set1_epi16(kBlurTaps3[0]);
-  const __m256i t1 = _mm256_set1_epi16(kBlurTaps3[1]);
-  int x = 0;
-  for (; x + 32 <= w; x += 32) {
-    __m256i a = load256(ra + x);
-    __m256i b = load256(rb + x);
-    __m256i c = load256(rc + x);
-    __m256i lo = blur3_half(_mm256_unpacklo_epi8(a, zero),
-                            _mm256_unpacklo_epi8(b, zero),
-                            _mm256_unpacklo_epi8(c, zero), t0, t1);
-    __m256i hi = blur3_half(_mm256_unpackhi_epi8(a, zero),
-                            _mm256_unpackhi_epi8(b, zero),
-                            _mm256_unpackhi_epi8(c, zero), t0, t1);
-    store256(out + x, _mm256_packus_epi16(_mm256_srli_epi16(lo, 8),
-                                          _mm256_srli_epi16(hi, 8)));
-  }
-  for (; x < w; ++x) {
-    int acc = 128 + kBlurTaps3[0] * ra[x] + kBlurTaps3[1] * rb[x] +
-              kBlurTaps3[2] * rc[x];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-void blur_v5_row(const uint8_t* ra, const uint8_t* rb, const uint8_t* rc,
-                 const uint8_t* rd, const uint8_t* re, uint8_t* out, int w) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i t0 = _mm256_set1_epi16(kBlurTaps5[0]);
-  const __m256i t1 = _mm256_set1_epi16(kBlurTaps5[1]);
-  const __m256i t2 = _mm256_set1_epi16(kBlurTaps5[2]);
-  int x = 0;
-  for (; x + 32 <= w; x += 32) {
-    __m256i a = load256(ra + x);
-    __m256i b = load256(rb + x);
-    __m256i c = load256(rc + x);
-    __m256i d = load256(rd + x);
-    __m256i e = load256(re + x);
-    __m256i lo = blur5_half(
-        _mm256_unpacklo_epi8(a, zero), _mm256_unpacklo_epi8(b, zero),
-        _mm256_unpacklo_epi8(c, zero), _mm256_unpacklo_epi8(d, zero),
-        _mm256_unpacklo_epi8(e, zero), t0, t1, t2);
-    __m256i hi = blur5_half(
-        _mm256_unpackhi_epi8(a, zero), _mm256_unpackhi_epi8(b, zero),
-        _mm256_unpackhi_epi8(c, zero), _mm256_unpackhi_epi8(d, zero),
-        _mm256_unpackhi_epi8(e, zero), t0, t1, t2);
-    store256(out + x, _mm256_packus_epi16(_mm256_srli_epi16(lo, 8),
-                                          _mm256_srli_epi16(hi, 8)));
-  }
-  for (; x < w; ++x) {
-    int acc = 128 + kBlurTaps5[0] * ra[x] + kBlurTaps5[1] * rb[x] +
-              kBlurTaps5[2] * rc[x] + kBlurTaps5[3] * rd[x] +
-              kBlurTaps5[4] * re[x];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
 }
 
 // ---- downscale / blend -----------------------------------------------------
@@ -189,7 +57,8 @@ inline __m256i down2_u16(const uint8_t* a, const uint8_t* b) {
   return _mm256_srli_epi16(sum, 2);
 }
 
-void down2_row(const uint8_t* a, const uint8_t* b, uint8_t* out, int n) {
+void down2_row_avx2(const uint8_t* a, const uint8_t* b, uint8_t* out,
+                    int n) {
   int x = 0;
   for (; x + 32 <= n; x += 32) {
     __m256i v0 = down2_u16(a + 2 * x, b + 2 * x);
@@ -199,12 +68,7 @@ void down2_row(const uint8_t* a, const uint8_t* b, uint8_t* out, int n) {
     __m256i p = _mm256_packus_epi16(v0, v1);
     store256(out + x, _mm256_permute4x64_epi64(p, 0xd8));
   }
-  for (; x < n; ++x) {
-    const uint8_t* pa = a + 2 * x;
-    const uint8_t* pb = b + 2 * x;
-    unsigned sum = static_cast<unsigned>(pa[0]) + pa[1] + pb[0] + pb[1];
-    out[x] = static_cast<uint8_t>((sum + 2) >> 2);
-  }
+  down2_row(a + 2 * x, b + 2 * x, out + x, n - x);
 }
 
 // Sums of 4 consecutive bytes per int32 lane (8 lanes from 32 bytes).
@@ -212,8 +76,8 @@ inline __m256i quad_sums_i32(const uint8_t* r) {
   return _mm256_madd_epi16(pair_sums_u16(load256(r)), _mm256_set1_epi16(1));
 }
 
-void down4_row(const uint8_t* r0, const uint8_t* r1, const uint8_t* r2,
-               const uint8_t* r3, uint8_t* out, int n) {
+void down4_row_avx2(const uint8_t* r0, const uint8_t* r1, const uint8_t* r2,
+                    const uint8_t* r3, uint8_t* out, int n) {
   int x = 0;
   for (; x + 8 <= n; x += 8) {
     __m256i t = _mm256_add_epi32(
@@ -226,13 +90,7 @@ void down4_row(const uint8_t* r0, const uint8_t* r1, const uint8_t* r2,
     _mm_storel_epi64(reinterpret_cast<__m128i*>(out + x),
                      _mm_packus_epi16(p, _mm_setzero_si128()));
   }
-  for (; x < n; ++x) {
-    unsigned sum = 0;
-    for (int i = 0; i < 4; ++i)
-      sum += static_cast<unsigned>(r0[4 * x + i]) + r1[4 * x + i] +
-             r2[4 * x + i] + r3[4 * x + i];
-    out[x] = static_cast<uint8_t>((sum + 8) >> 4);
-  }
+  down4_row(r0 + 4 * x, r1 + 4 * x, r2 + 4 * x, r3 + 4 * x, out + x, n - x);
 }
 
 // (v*alpha + d*(256-alpha) + 128) >> 8 on u16 lanes (max 65408, no wrap).
@@ -243,25 +101,8 @@ inline __m256i mix_u16(__m256i v, __m256i d, __m256i va, __m256i vb) {
   return _mm256_srli_epi16(acc, 8);
 }
 
-void blend_row(const uint8_t* src, uint8_t* dst, int n, int alpha256) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i va = _mm256_set1_epi16(static_cast<short>(alpha256));
-  const __m256i vb = _mm256_set1_epi16(static_cast<short>(256 - alpha256));
-  int x = 0;
-  for (; x + 32 <= n; x += 32) {
-    __m256i s = load256(src + x);
-    __m256i d = load256(dst + x);
-    __m256i lo = mix_u16(_mm256_unpacklo_epi8(s, zero),
-                         _mm256_unpacklo_epi8(d, zero), va, vb);
-    __m256i hi = mix_u16(_mm256_unpackhi_epi8(s, zero),
-                         _mm256_unpackhi_epi8(d, zero), va, vb);
-    store256(dst + x, _mm256_packus_epi16(lo, hi));
-  }
-  for (; x < n; ++x) dst[x] = mix1(src[x], dst[x], alpha256);
-}
-
-void down2_blend_row(const uint8_t* a, const uint8_t* b, uint8_t* dst, int n,
-                     int alpha256) {
+void down2_blend_row_avx2(const uint8_t* a, const uint8_t* b, uint8_t* dst,
+                          int n, int alpha256) {
   const __m256i zero = _mm256_setzero_si256();
   const __m256i va = _mm256_set1_epi16(static_cast<short>(alpha256));
   const __m256i vb = _mm256_set1_epi16(static_cast<short>(256 - alpha256));
@@ -278,12 +119,7 @@ void down2_blend_row(const uint8_t* a, const uint8_t* b, uint8_t* dst, int n,
     __m256i hi = mix_u16(vhi, _mm256_unpackhi_epi8(d, zero), va, vb);
     store256(dst + x, _mm256_packus_epi16(lo, hi));
   }
-  for (; x < n; ++x) {
-    const uint8_t* pa = a + 2 * x;
-    const uint8_t* pb = b + 2 * x;
-    unsigned sum = static_cast<unsigned>(pa[0]) + pa[1] + pb[0] + pb[1];
-    dst[x] = mix1(static_cast<uint8_t>((sum + 2) >> 2), dst[x], alpha256);
-  }
+  down2_blend_row(a + 2 * x, b + 2 * x, dst + x, n - x, alpha256);
 }
 
 // ---- fixed-point AAN IDCT --------------------------------------------------
@@ -499,10 +335,10 @@ const KernelOps kAvx2Ops = {
     &blur_h5_row,
     &blur_v3_row,
     &blur_v5_row,
-    &down2_row,
-    &down4_row,
+    &down2_row_avx2,
+    &down4_row_avx2,
     &blend_row,
-    &down2_blend_row,
+    &down2_blend_row_avx2,
     &idct8x8,
 };
 

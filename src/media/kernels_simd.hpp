@@ -1,17 +1,23 @@
 // Internal dispatch table behind media's runtime-selected kernel tiers.
 //
-// Each tier (scalar / SSE2 / AVX2 / NEON) fills one KernelOps with row
-// kernels for the interiors the public entry points in kernels.cpp carve
-// out; borders and ragged vector tails always run the scalar
-// formulation, so every tier is bit-identical by construction at the
-// edges and must be proven bit-identical in the interior
-// (tests/test_kernels_equiv.cpp sweeps ragged widths per tier).
+// Each tier (scalar / SSE2 / AVX2) fills one KernelOps with row kernels
+// for the interiors the public entry points in kernels.cpp carve out;
+// borders and ragged vector tails always run the scalar formulation, so
+// every tier is bit-identical by construction at the edges and must be
+// proven bit-identical in the interior (tests/test_kernels_equiv.cpp
+// sweeps ragged widths per tier).
+//
+// One-source rule: a tier's row is the shared scalar source
+// (kernels_rows.inc) compiled for its instruction set, unless a
+// hand-written version beats that compiled twin by at least 1.15x at the
+// benchmark's frame sizes (docs/PERF.md, "One-source rule"). AArch64
+// hosts run the scalar tier, which the compiler vectorizes for NEON.
 //
 // The vector translation units are compiled with per-file instruction
 // set flags (src/media/CMakeLists.txt) and keep all their helpers at
 // internal linkage: nothing inline-linked from here may be compiled
 // under -mavx2, or the linker could pick an AVX2-encoded copy for a
-// baseline host.
+// baseline host (the media_simd_linkage test checks the AVX2 object).
 #pragma once
 
 #include <cstdint>
@@ -61,7 +67,6 @@ struct KernelOps {
 const KernelOps* scalar_ops();
 const KernelOps* sse2_ops();
 const KernelOps* avx2_ops();
-const KernelOps* neon_ops();
 
 // The table for the currently active dispatch policy (kernels.cpp).
 const KernelOps* kernel_ops();

@@ -1,14 +1,16 @@
 // SSE2 tier of the media kernel dispatch table (kernels_simd.hpp).
 //
-// 128-bit byte kernels only: widen u8 -> u16, do the exact fixed-point
-// arithmetic of the scalar reference in 16-bit lanes (every accumulator
-// is proven <= 65408, so u16 never wraps), shift and pack back. The
-// IDCT stays on the scalar implementation — SSE2 lacks the 32-bit lane
+// SSE2 is the x86-64 baseline, so the shared scalar rows
+// (kernels_rows.inc) compiled here are the same code the scalar tier
+// runs. Hand-written 128-bit rows remain only for the box downscales and
+// the fused downscale + blend, which beat that compiled twin by 1.3-1.9x
+// (docs/PERF.md, "One-source rule"): widen u8 -> u16, do the exact
+// fixed-point arithmetic in 16-bit lanes, pack back; ragged tails run
+// the scalar row. The IDCT stays scalar — SSE2 lacks the 32-bit lane
 // multiplies the exact AAN flowgraph needs (see kernels_avx2.cpp).
 //
 // Everything here is internal-linkage so no SSE2-encoded symbol can leak
-// into another TU. SSE2 is the x86-64 architectural baseline, so this TU
-// needs no special compile flags.
+// into another TU; this TU needs no special compile flags.
 #include "media/kernels_simd.hpp"
 
 #if defined(__SSE2__) || defined(_M_X64)
@@ -18,178 +20,7 @@
 namespace media::detail {
 namespace {
 
-inline uint8_t mix1(uint8_t fg, uint8_t bg, int alpha256) {
-  return static_cast<uint8_t>(
-      (fg * alpha256 + bg * (256 - alpha256) + 128) >> 8);
-}
-
-// 3-tap horizontal blur over columns [1, w-1).
-void blur_h3_row(const uint8_t* in, uint8_t* out, int w) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i t0 = _mm_set1_epi16(kBlurTaps3[0]);
-  const __m128i t1 = _mm_set1_epi16(kBlurTaps3[1]);
-  const __m128i rnd = _mm_set1_epi16(128);
-  int x = 1;
-  for (; x + 16 <= w - 1; x += 16) {
-    __m128i l = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + x - 1));
-    __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + x));
-    __m128i r = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + x + 1));
-    __m128i lo = _mm_add_epi16(
-        rnd,
-        _mm_add_epi16(
-            _mm_mullo_epi16(_mm_add_epi16(_mm_unpacklo_epi8(l, zero),
-                                          _mm_unpacklo_epi8(r, zero)),
-                            t0),
-            _mm_mullo_epi16(_mm_unpacklo_epi8(c, zero), t1)));
-    __m128i hi = _mm_add_epi16(
-        rnd,
-        _mm_add_epi16(
-            _mm_mullo_epi16(_mm_add_epi16(_mm_unpackhi_epi8(l, zero),
-                                          _mm_unpackhi_epi8(r, zero)),
-                            t0),
-            _mm_mullo_epi16(_mm_unpackhi_epi8(c, zero), t1)));
-    __m128i packed =
-        _mm_packus_epi16(_mm_srli_epi16(lo, 8), _mm_srli_epi16(hi, 8));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x), packed);
-  }
-  for (; x < w - 1; ++x) {
-    int acc = 128 + kBlurTaps3[0] * in[x - 1] + kBlurTaps3[1] * in[x] +
-              kBlurTaps3[2] * in[x + 1];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-// 5-tap horizontal blur over columns [2, w-2).
-void blur_h5_row(const uint8_t* in, uint8_t* out, int w) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i t0 = _mm_set1_epi16(kBlurTaps5[0]);
-  const __m128i t1 = _mm_set1_epi16(kBlurTaps5[1]);
-  const __m128i t2 = _mm_set1_epi16(kBlurTaps5[2]);
-  const __m128i rnd = _mm_set1_epi16(128);
-  int x = 2;
-  for (; x + 16 <= w - 2; x += 16) {
-    __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + x - 2));
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + x - 1));
-    __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + x));
-    __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + x + 1));
-    __m128i e = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + x + 2));
-    __m128i lo = _mm_add_epi16(
-        rnd,
-        _mm_add_epi16(
-            _mm_add_epi16(
-                _mm_mullo_epi16(_mm_add_epi16(_mm_unpacklo_epi8(a, zero),
-                                              _mm_unpacklo_epi8(e, zero)),
-                                t0),
-                _mm_mullo_epi16(_mm_add_epi16(_mm_unpacklo_epi8(b, zero),
-                                              _mm_unpacklo_epi8(d, zero)),
-                                t1)),
-            _mm_mullo_epi16(_mm_unpacklo_epi8(c, zero), t2)));
-    __m128i hi = _mm_add_epi16(
-        rnd,
-        _mm_add_epi16(
-            _mm_add_epi16(
-                _mm_mullo_epi16(_mm_add_epi16(_mm_unpackhi_epi8(a, zero),
-                                              _mm_unpackhi_epi8(e, zero)),
-                                t0),
-                _mm_mullo_epi16(_mm_add_epi16(_mm_unpackhi_epi8(b, zero),
-                                              _mm_unpackhi_epi8(d, zero)),
-                                t1)),
-            _mm_mullo_epi16(_mm_unpackhi_epi8(c, zero), t2)));
-    __m128i packed =
-        _mm_packus_epi16(_mm_srli_epi16(lo, 8), _mm_srli_epi16(hi, 8));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x), packed);
-  }
-  for (; x < w - 2; ++x) {
-    int acc = 128 + kBlurTaps5[0] * in[x - 2] + kBlurTaps5[1] * in[x - 1] +
-              kBlurTaps5[2] * in[x] + kBlurTaps5[3] * in[x + 1] +
-              kBlurTaps5[4] * in[x + 2];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-void blur_v3_row(const uint8_t* ra, const uint8_t* rb, const uint8_t* rc,
-                 uint8_t* out, int w) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i t0 = _mm_set1_epi16(kBlurTaps3[0]);
-  const __m128i t1 = _mm_set1_epi16(kBlurTaps3[1]);
-  const __m128i rnd = _mm_set1_epi16(128);
-  int x = 0;
-  for (; x + 16 <= w; x += 16) {
-    __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ra + x));
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rb + x));
-    __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rc + x));
-    __m128i lo = _mm_add_epi16(
-        rnd,
-        _mm_add_epi16(
-            _mm_mullo_epi16(_mm_add_epi16(_mm_unpacklo_epi8(a, zero),
-                                          _mm_unpacklo_epi8(c, zero)),
-                            t0),
-            _mm_mullo_epi16(_mm_unpacklo_epi8(b, zero), t1)));
-    __m128i hi = _mm_add_epi16(
-        rnd,
-        _mm_add_epi16(
-            _mm_mullo_epi16(_mm_add_epi16(_mm_unpackhi_epi8(a, zero),
-                                          _mm_unpackhi_epi8(c, zero)),
-                            t0),
-            _mm_mullo_epi16(_mm_unpackhi_epi8(b, zero), t1)));
-    __m128i packed =
-        _mm_packus_epi16(_mm_srli_epi16(lo, 8), _mm_srli_epi16(hi, 8));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x), packed);
-  }
-  for (; x < w; ++x) {
-    int acc = 128 + kBlurTaps3[0] * ra[x] + kBlurTaps3[1] * rb[x] +
-              kBlurTaps3[2] * rc[x];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
-
-void blur_v5_row(const uint8_t* ra, const uint8_t* rb, const uint8_t* rc,
-                 const uint8_t* rd, const uint8_t* re, uint8_t* out, int w) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i t0 = _mm_set1_epi16(kBlurTaps5[0]);
-  const __m128i t1 = _mm_set1_epi16(kBlurTaps5[1]);
-  const __m128i t2 = _mm_set1_epi16(kBlurTaps5[2]);
-  const __m128i rnd = _mm_set1_epi16(128);
-  int x = 0;
-  for (; x + 16 <= w; x += 16) {
-    __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ra + x));
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rb + x));
-    __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rc + x));
-    __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rd + x));
-    __m128i e = _mm_loadu_si128(reinterpret_cast<const __m128i*>(re + x));
-    __m128i lo = _mm_add_epi16(
-        rnd,
-        _mm_add_epi16(
-            _mm_add_epi16(
-                _mm_mullo_epi16(_mm_add_epi16(_mm_unpacklo_epi8(a, zero),
-                                              _mm_unpacklo_epi8(e, zero)),
-                                t0),
-                _mm_mullo_epi16(_mm_add_epi16(_mm_unpacklo_epi8(b, zero),
-                                              _mm_unpacklo_epi8(d, zero)),
-                                t1)),
-            _mm_mullo_epi16(_mm_unpacklo_epi8(c, zero), t2)));
-    __m128i hi = _mm_add_epi16(
-        rnd,
-        _mm_add_epi16(
-            _mm_add_epi16(
-                _mm_mullo_epi16(_mm_add_epi16(_mm_unpackhi_epi8(a, zero),
-                                              _mm_unpackhi_epi8(e, zero)),
-                                t0),
-                _mm_mullo_epi16(_mm_add_epi16(_mm_unpackhi_epi8(b, zero),
-                                              _mm_unpackhi_epi8(d, zero)),
-                                t1)),
-            _mm_mullo_epi16(_mm_unpackhi_epi8(c, zero), t2)));
-    __m128i packed =
-        _mm_packus_epi16(_mm_srli_epi16(lo, 8), _mm_srli_epi16(hi, 8));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x), packed);
-  }
-  for (; x < w; ++x) {
-    int acc = 128 + kBlurTaps5[0] * ra[x] + kBlurTaps5[1] * rb[x] +
-              kBlurTaps5[2] * rc[x] + kBlurTaps5[3] * rd[x] +
-              kBlurTaps5[4] * re[x];
-    out[x] = static_cast<uint8_t>(acc >> 8);
-  }
-}
+#include "media/kernels_rows.inc"
 
 // Horizontal pair sums of 16 bytes as 8 u16 lanes (max 510).
 inline __m128i pair_sums_u16(__m128i v) {
@@ -208,7 +39,8 @@ inline __m128i down2_u16(const uint8_t* a, const uint8_t* b) {
   return _mm_srli_epi16(sum, 2);
 }
 
-void down2_row(const uint8_t* a, const uint8_t* b, uint8_t* out, int n) {
+void down2_row_sse2(const uint8_t* a, const uint8_t* b, uint8_t* out,
+                    int n) {
   int x = 0;
   for (; x + 16 <= n; x += 16) {
     __m128i v0 = down2_u16(a + 2 * x, b + 2 * x);
@@ -216,12 +48,7 @@ void down2_row(const uint8_t* a, const uint8_t* b, uint8_t* out, int n) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x),
                      _mm_packus_epi16(v0, v1));
   }
-  for (; x < n; ++x) {
-    const uint8_t* pa = a + 2 * x;
-    const uint8_t* pb = b + 2 * x;
-    unsigned sum = static_cast<unsigned>(pa[0]) + pa[1] + pb[0] + pb[1];
-    out[x] = static_cast<uint8_t>((sum + 2) >> 2);
-  }
+  down2_row(a + 2 * x, b + 2 * x, out + x, n - x);
 }
 
 // Sums of 4 consecutive bytes per int32 lane for one source row.
@@ -230,8 +57,8 @@ inline __m128i quad_sums_i32(const uint8_t* r) {
   return _mm_madd_epi16(pair_sums_u16(v), _mm_set1_epi16(1));
 }
 
-void down4_row(const uint8_t* r0, const uint8_t* r1, const uint8_t* r2,
-               const uint8_t* r3, uint8_t* out, int n) {
+void down4_row_sse2(const uint8_t* r0, const uint8_t* r1, const uint8_t* r2,
+                    const uint8_t* r3, uint8_t* out, int n) {
   int x = 0;
   for (; x + 8 <= n; x += 8) {
     __m128i t0 = _mm_add_epi32(
@@ -249,13 +76,7 @@ void down4_row(const uint8_t* r0, const uint8_t* r1, const uint8_t* r2,
                                       _mm_setzero_si128());
     _mm_storel_epi64(reinterpret_cast<__m128i*>(out + x), packed);
   }
-  for (; x < n; ++x) {
-    unsigned sum = 0;
-    for (int i = 0; i < 4; ++i)
-      sum += static_cast<unsigned>(r0[4 * x + i]) + r1[4 * x + i] +
-             r2[4 * x + i] + r3[4 * x + i];
-    out[x] = static_cast<uint8_t>((sum + 8) >> 4);
-  }
+  down4_row(r0 + 4 * x, r1 + 4 * x, r2 + 4 * x, r3 + 4 * x, out + x, n - x);
 }
 
 // (v*alpha + d*(256-alpha) + 128) >> 8 on u16 lanes (max 65408, no wrap).
@@ -266,26 +87,8 @@ inline __m128i mix_u16(__m128i v, __m128i d, __m128i va, __m128i vb) {
   return _mm_srli_epi16(acc, 8);
 }
 
-void blend_row(const uint8_t* src, uint8_t* dst, int n, int alpha256) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i va = _mm_set1_epi16(static_cast<short>(alpha256));
-  const __m128i vb = _mm_set1_epi16(static_cast<short>(256 - alpha256));
-  int x = 0;
-  for (; x + 16 <= n; x += 16) {
-    __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + x));
-    __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + x));
-    __m128i lo = mix_u16(_mm_unpacklo_epi8(s, zero),
-                         _mm_unpacklo_epi8(d, zero), va, vb);
-    __m128i hi = mix_u16(_mm_unpackhi_epi8(s, zero),
-                         _mm_unpackhi_epi8(d, zero), va, vb);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + x),
-                     _mm_packus_epi16(lo, hi));
-  }
-  for (; x < n; ++x) dst[x] = mix1(src[x], dst[x], alpha256);
-}
-
-void down2_blend_row(const uint8_t* a, const uint8_t* b, uint8_t* dst, int n,
-                     int alpha256) {
+void down2_blend_row_sse2(const uint8_t* a, const uint8_t* b, uint8_t* dst,
+                          int n, int alpha256) {
   const __m128i zero = _mm_setzero_si128();
   const __m128i va = _mm_set1_epi16(static_cast<short>(alpha256));
   const __m128i vb = _mm_set1_epi16(static_cast<short>(256 - alpha256));
@@ -299,12 +102,7 @@ void down2_blend_row(const uint8_t* a, const uint8_t* b, uint8_t* dst, int n,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + x),
                      _mm_packus_epi16(lo, hi));
   }
-  for (; x < n; ++x) {
-    const uint8_t* pa = a + 2 * x;
-    const uint8_t* pb = b + 2 * x;
-    unsigned sum = static_cast<unsigned>(pa[0]) + pa[1] + pb[0] + pb[1];
-    dst[x] = mix1(static_cast<uint8_t>((sum + 2) >> 2), dst[x], alpha256);
-  }
+  down2_blend_row(a + 2 * x, b + 2 * x, dst + x, n - x, alpha256);
 }
 
 const KernelOps kSse2Ops = {
@@ -314,10 +112,10 @@ const KernelOps kSse2Ops = {
     &blur_h5_row,
     &blur_v3_row,
     &blur_v5_row,
-    &down2_row,
-    &down4_row,
+    &down2_row_sse2,
+    &down4_row_sse2,
     &blend_row,
-    &down2_blend_row,
+    &down2_blend_row_sse2,
     &idct8x8_scalar,  // exact AAN needs 32-bit lane multiplies; see AVX2
 };
 

@@ -78,7 +78,6 @@ double dispatch_cycles_per_byte(media::KernelDispatch dispatch) {
     case media::KernelDispatch::kAvx2:
       return 1.0;  // 256-bit lanes: ~4x the scalar pixel throughput
     case media::KernelDispatch::kSse2:
-    case media::KernelDispatch::kNeon:
       return 2.0;  // 128-bit lanes
     case media::KernelDispatch::kAuto:
     case media::KernelDispatch::kScalar:

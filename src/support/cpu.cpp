@@ -19,10 +19,6 @@ CpuFeatures probe_cpu_features() {
   f.sse2 = __builtin_cpu_supports("sse2") != 0;
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
 #endif
-#elif defined(__aarch64__)
-  f.neon = true;  // architectural baseline on AArch64
-#elif defined(__ARM_NEON)
-  f.neon = true;  // the compiler was told NEON is available
 #endif
   return f;
 }

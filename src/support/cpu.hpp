@@ -16,7 +16,6 @@ namespace support {
 struct CpuFeatures {
   bool sse2 = false;  // x86-64 baseline
   bool avx2 = false;
-  bool neon = false;  // aarch64 baseline
 };
 
 // Raw hardware probe, ignoring HINCH_FORCE_SCALAR (for tests and

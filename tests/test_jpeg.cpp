@@ -257,6 +257,41 @@ TEST(Jpeg, MissingRestartMarkerRejected) {
   EXPECT_FALSE(media::jpeg::decode(corrupt.data(), corrupt.size()).is_ok());
 }
 
+TEST(Jpeg, SosTableSelectorOutOfRangeRejected) {
+  media::SynthSpec spec{.seed = 27, .width = 64, .height = 48};
+  auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 0), 75, 2);
+  ASSERT_TRUE(bytes.is_ok());
+  size_t sos = 0;
+  for (size_t i = 2; i + 1 < bytes.value().size(); ++i) {
+    if (bytes.value()[i] == 0xff && bytes.value()[i + 1] == 0xda) {
+      sos = i;
+      break;
+    }
+  }
+  ASSERT_NE(sos, 0u);
+  // FF DA, 2 length bytes, Ns, then (Cs, Td<<4|Ta) per component: Td and
+  // Ta are 4-bit fields but only tables 0-3 exist.
+  const int ns = bytes.value()[sos + 4];
+  for (int c = 0; c < ns; ++c) {
+    for (uint8_t selector : {uint8_t{0x50}, uint8_t{0x05}, uint8_t{0xff}}) {
+      std::vector<uint8_t> corrupt = bytes.value();
+      const size_t at = sos + 6 + 2 * static_cast<size_t>(c);
+      corrupt[at] = selector;
+      for (int workers : {1, 4}) {
+        media::jpeg::CoeffImage img;
+        support::Status st = media::jpeg::decode_to_coefficients_into(
+            corrupt.data(), corrupt.size(), &img,
+            media::jpeg::HuffmanImpl::kLookupTable, workers);
+        EXPECT_FALSE(st.is_ok()) << "component " << c;
+        EXPECT_NE(st.to_string().find("bad SOS table selector at byte " +
+                                      std::to_string(at)),
+                  std::string::npos)
+            << st.to_string();
+      }
+    }
+  }
+}
+
 void expect_coeffs_identical(const media::jpeg::CoeffImage& a,
                              const media::jpeg::CoeffImage& b) {
   ASSERT_EQ(a.comps.size(), b.comps.size());

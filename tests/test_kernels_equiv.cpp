@@ -592,8 +592,7 @@ class DispatchGuard {
 
 std::vector<media::KernelDispatch> available_vector_tiers() {
   std::vector<media::KernelDispatch> out;
-  for (auto d : {media::KernelDispatch::kSse2, media::KernelDispatch::kAvx2,
-                 media::KernelDispatch::kNeon})
+  for (auto d : {media::KernelDispatch::kSse2, media::KernelDispatch::kAvx2})
     if (media::kernel_dispatch_available(d)) out.push_back(d);
   return out;
 }
@@ -611,8 +610,7 @@ TEST(VectorTiers, DispatchStateIsSane) {
   }
   EXPECT_EQ(media::kernel_dispatch(), media::KernelDispatch::kAuto);
   // Requesting an unavailable tier must run scalar, not crash.
-  for (auto d : {media::KernelDispatch::kSse2, media::KernelDispatch::kAvx2,
-                 media::KernelDispatch::kNeon}) {
+  for (auto d : {media::KernelDispatch::kSse2, media::KernelDispatch::kAvx2}) {
     if (media::kernel_dispatch_available(d)) continue;
     DispatchGuard g(d);
     EXPECT_EQ(media::active_kernel_dispatch(),

@@ -691,8 +691,6 @@ TEST(DispatchCyclesPerByte, TierPins) {
             4.0);
   EXPECT_EQ(perf::dispatch_cycles_per_byte(media::KernelDispatch::kSse2),
             2.0);
-  EXPECT_EQ(perf::dispatch_cycles_per_byte(media::KernelDispatch::kNeon),
-            2.0);
   EXPECT_EQ(perf::dispatch_cycles_per_byte(media::KernelDispatch::kAvx2),
             1.0);
   EXPECT_EQ(perf::FusionModel{}.cycles_per_byte, 4.0);

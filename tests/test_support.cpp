@@ -300,9 +300,7 @@ TEST(Cpu, ProbeIsConsistent) {
   support::CpuFeatures f = support::probe_cpu_features();
 #if defined(__x86_64__) || defined(_M_X64)
   EXPECT_TRUE(f.sse2);  // x86-64 architectural baseline
-  EXPECT_FALSE(f.neon);
 #elif defined(__aarch64__)
-  EXPECT_TRUE(f.neon);
   EXPECT_FALSE(f.sse2);
   EXPECT_FALSE(f.avx2);
 #endif
@@ -314,12 +312,10 @@ TEST(Cpu, ForceScalarZeroesCachedFeatures) {
   if (support::force_scalar_env()) {
     EXPECT_FALSE(f.sse2);
     EXPECT_FALSE(f.avx2);
-    EXPECT_FALSE(f.neon);
   } else {
     support::CpuFeatures raw = support::probe_cpu_features();
     EXPECT_EQ(f.sse2, raw.sse2);
     EXPECT_EQ(f.avx2, raw.avx2);
-    EXPECT_EQ(f.neon, raw.neon);
   }
 }
 

@@ -40,11 +40,13 @@
 // --rebalance wires components::ServerRebalance between commands: the
 // aggregate backlog in the shared registry adjusts the active cap with
 // hysteresis (overload queues new tenants instead of thrashing the pool).
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +96,11 @@ uint64_t output_checksum(hinch::Program& prog) {
   return any ? hash : 0;
 }
 
+// Deepest stream window a tenant may open with: 8x the deepest window
+// bench/ablation_pipeline_depth sweeps. Every stream allocates `depth`
+// packet slots up front, so an unbounded depth= is an allocation bomb.
+constexpr int64_t kMaxTenantDepth = 64;
+
 struct ServeOptions {
   int workers = 4;
   int max_sessions = 0;
@@ -117,6 +124,33 @@ int serve(const ServeOptions& opts) {
 
   auto err = [](const std::string& msg) {
     std::printf("err %s\n", msg.c_str());
+  };
+
+  // Checked protocol integer in [lo, hi]; answers a bad token with an
+  // err line, so no line can take down the other tenants.
+  auto int_arg = [&](const std::string& token, const char* what, int64_t lo,
+                     int64_t hi) -> std::optional<int64_t> {
+    support::Result<int64_t> v = support::parse_int(token);
+    if (!v.is_ok()) {
+      err(std::string(what) + ": " + v.status().message());
+      return std::nullopt;
+    }
+    if (v.value() < lo || v.value() > hi) {
+      err(support::format("%s must be in [%lld, %lld], got %lld", what,
+                          static_cast<long long>(lo),
+                          static_cast<long long>(hi),
+                          static_cast<long long>(v.value())));
+      return std::nullopt;
+    }
+    return v.value();
+  };
+  // The tenant a `<cmd> <tid> ...` line names, or end() after an err.
+  auto find_tenant = [&](const std::string& token) {
+    std::optional<int64_t> id = int_arg(token, "tenant id", 0, INT_MAX);
+    if (!id) return tenants.end();
+    auto it = tenants.find(static_cast<int>(*id));
+    if (it == tenants.end()) err("no such tenant");
+    return it;
   };
 
   auto wait_tenant = [&](Tenant& t) {
@@ -159,16 +193,24 @@ int serve(const ServeOptions& opts) {
       }
       bool with_trace = false;
       int depth = 5;
+      bool bad_depth = false;
       std::vector<std::string> param_tokens;
       for (size_t i = 2; i < tokens.size(); ++i) {
         if (tokens[i] == "trace=1") {
           with_trace = true;
         } else if (tokens[i].rfind("depth=", 0) == 0) {
-          depth = std::atoi(tokens[i].c_str() + 6);
+          std::optional<int64_t> d =
+              int_arg(tokens[i].substr(6), "depth", 1, kMaxTenantDepth);
+          if (!d) {
+            bad_depth = true;
+            break;
+          }
+          depth = static_cast<int>(*d);
         } else {
           param_tokens.push_back(tokens[i]);
         }
       }
+      if (bad_depth) continue;
       auto params = apps::parse_catalog_params(param_tokens);
       if (!params.is_ok()) {
         err(params.status().message());
@@ -183,7 +225,7 @@ int serve(const ServeOptions& opts) {
       t.id = next_tenant++;
       t.app = tokens[1];
       t.spec = std::move(spec).take();
-      t.stream_depth = depth < 1 ? 1 : depth;
+      t.stream_depth = depth;
       if (with_trace && obs::kTraceCompiledIn)
         t.trace = std::make_unique<obs::TraceSession>();
       int id = t.id;
@@ -194,16 +236,12 @@ int serve(const ServeOptions& opts) {
         err("usage: feed <tid> <iterations>");
         continue;
       }
-      auto it = tenants.find(std::atoi(tokens[1].c_str()));
-      if (it == tenants.end()) {
-        err("no such tenant");
-        continue;
-      }
-      long long iters = std::atoll(tokens[2].c_str());
-      if (iters < 1) {
-        err("iterations must be >= 1");
-        continue;
-      }
+      auto it = find_tenant(tokens[1]);
+      if (it == tenants.end()) continue;
+      std::optional<int64_t> parsed_iters =
+          int_arg(tokens[2], "iterations", 1, INT64_MAX);
+      if (!parsed_iters) continue;
+      const long long iters = *parsed_iters;
       Tenant& t = it->second;
       hinch::Program::BuildConfig build;
       build.stream_depth = t.stream_depth;
@@ -230,22 +268,16 @@ int serve(const ServeOptions& opts) {
         err("usage: wait <tid>");
         continue;
       }
-      auto it = tenants.find(std::atoi(tokens[1].c_str()));
-      if (it == tenants.end()) {
-        err("no such tenant");
-        continue;
-      }
+      auto it = find_tenant(tokens[1]);
+      if (it == tenants.end()) continue;
       wait_tenant(it->second);
     } else if (cmd == "close") {
       if (tokens.size() != 2) {
         err("usage: close <tid>");
         continue;
       }
-      auto it = tenants.find(std::atoi(tokens[1].c_str()));
-      if (it == tenants.end()) {
-        err("no such tenant");
-        continue;
-      }
+      auto it = find_tenant(tokens[1]);
+      if (it == tenants.end()) continue;
       close_tenant(it->second);
       tenants.erase(it);
       std::printf("ok close %s\n", tokens[1].c_str());
@@ -254,7 +286,9 @@ int serve(const ServeOptions& opts) {
         err("usage: cap <n>");
         continue;
       }
-      exec.set_active_cap(std::atoi(tokens[1].c_str()));
+      std::optional<int64_t> cap = int_arg(tokens[1], "cap", 0, INT_MAX);
+      if (!cap) continue;
+      exec.set_active_cap(static_cast<int>(*cap));
       std::printf("ok cap %d\n", exec.active_cap());
     } else if (cmd == "stats") {
       hinch::SessionExecutor::PoolStats pool_stats = exec.pool_stats();
@@ -279,11 +313,8 @@ int serve(const ServeOptions& opts) {
         err("usage: trace <tid> <path>");
         continue;
       }
-      auto it = tenants.find(std::atoi(tokens[1].c_str()));
-      if (it == tenants.end()) {
-        err("no such tenant");
-        continue;
-      }
+      auto it = find_tenant(tokens[1]);
+      if (it == tenants.end()) continue;
       if (it->second.trace == nullptr) {
         err("tenant was not opened with trace=1 (or tracing is "
             "compiled out)");
@@ -379,10 +410,14 @@ int main(int argc, char** argv) {
   LoadgenOptions load_opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    bool bad_value = false;
     auto int_flag = [&](const char* name, int* out) {
       std::string prefix = std::string(name) + "=";
       if (arg.rfind(prefix, 0) != 0) return false;
-      *out = std::atoi(arg.c_str() + prefix.size());
+      support::Result<int64_t> v =
+          support::parse_int(arg.substr(prefix.size()));
+      bad_value = !v.is_ok() || v.value() < 0 || v.value() > INT_MAX;
+      if (!bad_value) *out = static_cast<int>(v.value());
       return true;
     };
     if (arg == "--loadgen") {
@@ -402,7 +437,7 @@ int main(int argc, char** argv) {
                int_flag("--sessions", &load_opts.sessions) ||
                int_flag("--iters", &load_opts.iters) ||
                int_flag("--feeds", &load_opts.feeds)) {
-      // parsed
+      if (bad_value) return usage();
     } else {
       return usage();
     }
