@@ -22,6 +22,7 @@
 #include "media/kernels.hpp"
 #include "media/mjpeg.hpp"
 #include "media/synth.hpp"
+#include "reference/jpeg_reference.hpp"
 #include "support/check.hpp"
 #include "support/strings.hpp"
 
@@ -57,14 +58,13 @@ void bench_decode() {
               mj.frame_count(), mj.total_bytes());
 
   // Headline: full frame decode (entropy decode + IDCT of every plane),
-  // old implementation (bit-at-a-time Huffman walk, float reference
-  // IDCT, fresh buffers per frame) against the new hot path
+  // old implementation (bit-at-a-time Huffman walk, float IDCT, fresh
+  // buffers per frame; both from tests/reference) against the hot path
   // (table-driven Huffman through the streaming buffer-reuse API,
   // fixed-point AAN IDCT).
   media::jpeg::CoeffImage reuse;
   std::vector<media::FramePtr> outs;
-  auto idct_planes = [&](const media::jpeg::CoeffImage& img,
-                         media::jpeg::IdctImpl impl) {
+  auto idct_planes = [&](const media::jpeg::CoeffImage& img, bool old) {
     if (outs.empty())
       for (int p = 0; p < media::plane_count(img.format); ++p)
         outs.push_back(media::make_frame(media::PixelFormat::kGray,
@@ -72,46 +72,53 @@ void bench_decode() {
                                          img.comps[static_cast<size_t>(p)].height));
     for (int p = 0; p < media::plane_count(img.format); ++p) {
       const auto& cp = img.comps[static_cast<size_t>(p)];
-      media::jpeg::idct_component(cp, outs[static_cast<size_t>(p)]->plane(0),
-                                  0, cp.blocks_h, impl);
+      media::PlaneView out = outs[static_cast<size_t>(p)]->plane(0);
+      if (old)
+        reference::jpeg::idct_component_float(cp, out);
+      else
+        media::jpeg::idct_component(cp, out, 0, cp.blocks_h);
     }
   };
   auto decode_old = [&] {
     for (int i = 0; i < mj.frame_count(); ++i) {
       const auto& bytes = mj.frame(i);
-      auto coeffs = media::jpeg::decode_to_coefficients(
-          bytes.data(), bytes.size(), media::jpeg::HuffmanImpl::kBitSerial);
-      SUP_CHECK(coeffs.is_ok());
-      idct_planes(coeffs.value(), media::jpeg::IdctImpl::kFloatReference);
+      media::jpeg::CoeffImage fresh;
+      SUP_CHECK(reference::jpeg::decode_bit_serial(bytes.data(), bytes.size(),
+                                                   &fresh)
+                    .is_ok());
+      idct_planes(fresh, /*old=*/true);
     }
   };
   auto decode_new = [&] {
     for (int i = 0; i < mj.frame_count(); ++i) {
       const auto& bytes = mj.frame(i);
       support::Status st = media::jpeg::decode_to_coefficients_into(
-          bytes.data(), bytes.size(), &reuse,
-          media::jpeg::HuffmanImpl::kLookupTable);
+          bytes.data(), bytes.size(), &reuse);
       SUP_CHECK(st.is_ok());
-      idct_planes(reuse, media::jpeg::IdctImpl::kFixedPoint);
+      idct_planes(reuse, /*old=*/false);
     }
   };
   auto [old_ms, new_ms] = best_ms_pair(reps(7), decode_old, decode_new);
   add_row("jpeg_decode_1080p", old_ms, new_ms,
           "full decode (entropy + IDCT) of 4 1080p frames");
 
-  // Attribution row: entropy decode alone, same streaming buffer reuse
-  // on both sides, so the delta is purely the bit-reader + lookup table.
-  auto entropy_only = [&](media::jpeg::HuffmanImpl impl) {
+  // Attribution row: entropy decode alone, both sides decoding into the
+  // same reused coefficient buffer, so the delta is the bit reader and
+  // lookup table (the bit-serial side re-zeroes the buffer per frame).
+  auto entropy_only = [&](bool bit_serial) {
     for (int i = 0; i < mj.frame_count(); ++i) {
       const auto& bytes = mj.frame(i);
-      support::Status st = media::jpeg::decode_to_coefficients_into(
-          bytes.data(), bytes.size(), &reuse, impl);
+      support::Status st =
+          bit_serial ? reference::jpeg::decode_bit_serial(bytes.data(),
+                                                          bytes.size(), &reuse)
+                     : media::jpeg::decode_to_coefficients_into(
+                           bytes.data(), bytes.size(), &reuse);
       SUP_CHECK(st.is_ok());
     }
   };
-  auto [serial_stream, fast_stream] = best_ms_pair(
-      reps(5), [&] { entropy_only(media::jpeg::HuffmanImpl::kBitSerial); },
-      [&] { entropy_only(media::jpeg::HuffmanImpl::kLookupTable); });
+  auto [serial_stream, fast_stream] =
+      best_ms_pair(reps(5), [&] { entropy_only(true); },
+                   [&] { entropy_only(false); });
   add_row("huffman_engine_only", serial_stream, fast_stream,
           "entropy decode of 4 1080p frames");
 
@@ -122,12 +129,10 @@ void bench_decode() {
   SUP_CHECK(coeffs.is_ok());
   const media::jpeg::CoeffPlane& y = coeffs.value().comps[0];
   media::Frame out(media::PixelFormat::kGray, y.width, y.height);
-  auto idct_all = [&](media::jpeg::IdctImpl impl) {
-    media::jpeg::idct_component(y, out.plane(0), 0, y.blocks_h, impl);
-  };
   auto [f_ref, fixed] = best_ms_pair(
-      reps(10), [&] { idct_all(media::jpeg::IdctImpl::kFloatReference); },
-      [&] { idct_all(media::jpeg::IdctImpl::kFixedPoint); });
+      reps(10),
+      [&] { reference::jpeg::idct_component_float(y, out.plane(0)); },
+      [&] { media::jpeg::idct_component(y, out.plane(0), 0, y.blocks_h); });
   add_row("idct_1080p_luma", f_ref, fixed, "IDCT of one 1080p luma plane");
 }
 
@@ -312,7 +317,6 @@ void bench_throughput() {
     c.slices = 2;
     c.window = workers;
     c.workers = workers;
-    c.entropy_workers = 1;
     c.restart = 0;
     return apps::run_mjpeg_decode(c);
   };

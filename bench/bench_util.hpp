@@ -339,10 +339,6 @@ inline std::string parse_trace_flag(int argc, char** argv,
 inline void write_sim_trace(const std::string& spec, int64_t iterations,
                             int cores, const std::string& path,
                             int window = 5) {
-  if (!obs::kTraceCompiledIn)
-    std::fprintf(stderr,
-                 "bench: built with HINCH_TRACING=OFF; the trace will "
-                 "contain no events\n");
   auto prog = build_program(spec);
   obs::TraceSession session;
   hinch::RunConfig run;

@@ -23,10 +23,14 @@ using CatalogParam = std::pair<std::string, std::string>;
 const std::vector<std::string>& catalog_names();
 
 // The XSPCL spec for `name` with `params` applied over the app's default
-// config. Common keys: frames, slices, pips, factor, width, height,
-// reconfigurable (0/1); "kernel" (blur), "quality" (jpip/mjpeg),
-// "grouped" (jpip). Unknown names list the catalog; unknown keys or
-// non-numeric values are invalid-argument errors.
+// config. Keys and their ranges: width, height [16, 4096]; frames >= 1;
+// slices [1, 256] (every app); pips [1, 8], factor [1, 16] and at most
+// half of each dimension, reconfigurable 0/1 (pip, jpip; 1 raises pips
+// to 2); quality [1, 100] (jpip, mjpeg); grouped 0/1 (jpip); kernel 3
+// or 5 and reconfigurable 0/1 (blur); restart [0, 65535] (mjpeg).
+// Unknown names list the catalog; unknown keys, non-numeric or
+// out-of-range values are invalid-argument errors (hinchd answers them
+// with `err` instead of running a spec that would abort).
 support::Result<std::string> builtin_xspcl(
     const std::string& name, const std::vector<CatalogParam>& params = {});
 

@@ -13,8 +13,8 @@ namespace {
 
 using support::format;
 
-// Decode chain: entropy decode (optionally restart-parallel) followed by
-// three concurrent sliced IDCTs, reassembled by the sink.
+// Decode chain: entropy decode followed by three concurrent sliced
+// IDCTs, reassembled by the sink.
 const char* kDecodeProcedure = R"(
   <procedure name="mjpeg_chain">
     <formal name="jpeg" kind="stream"/>
@@ -22,10 +22,8 @@ const char* kDecodeProcedure = R"(
     <formal name="pu" kind="stream"/>
     <formal name="pv" kind="stream"/>
     <formal name="slices" kind="value"/>
-    <formal name="entropy_workers" kind="value"/>
     <body>
       <component name="dec" class="jpeg_decode">
-        <param name="workers" value="$entropy_workers"/>
         <inport name="jpeg" stream="jpeg"/>
         <outport name="coeffs" stream="coeffs"/>
       </component>
@@ -84,9 +82,8 @@ std::string mjpeg_xspcl(const MjpegDecodeConfig& c) {
       "        <arg name=\"pu\" stream=\"pu\"/>\n"
       "        <arg name=\"pv\" stream=\"pv\"/>\n"
       "        <arg name=\"slices\" value=\"%d\"/>\n"
-      "        <arg name=\"entropy_workers\" value=\"%d\"/>\n"
       "      </call>\n",
-      c.slices, c.entropy_workers);
+      c.slices);
   body += format(
       "      <component name=\"sink\" class=\"yuv_sink\">\n"
       "        <param name=\"store\" value=\"%d\"/>\n"

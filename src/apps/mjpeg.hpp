@@ -4,12 +4,11 @@
 // the work-stealing thread executor, so successive frames decode
 // concurrently (every frame of an MJPEG stream is independently coded).
 //
-// Three orthogonal parallelism knobs:
-//   workers          host threads in the executor pool (frame-parallel
-//                    via the iteration window),
-//   slices           data-parallel IDCT slices inside one frame,
-//   entropy_workers  restart-segment threads inside one entropy decode
-//                    (needs restart > 0 at encode time).
+// Two orthogonal parallelism knobs:
+//   workers  host threads in the executor pool (frame-parallel via the
+//            iteration window),
+//   slices   data-parallel IDCT slices inside one frame.
+// The entropy decode of one frame is sequential.
 //
 // Throughput is measured in wall seconds (thread backend); the
 // simulated-cycle models are not involved.
@@ -30,7 +29,6 @@ struct MjpegDecodeConfig {
   int slices = 1;           // IDCT slices per plane
   int window = 4;           // concurrently in-flight frames
   int workers = 4;          // executor threads
-  int entropy_workers = 1;  // restart-parallel Huffman threads
   int restart = 0;          // restart interval encoded into the clip (MCUs)
   bool store_output = false;
 };

@@ -75,20 +75,13 @@ void charge_touch_rows(ExecContext& ctx, bool is_input, int port,
 class JpegDecodePlanesComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    int workers =
-        static_cast<int>(hinch::param_int_or(config.params, "workers", 1));
-    if (workers < 1 || workers > 256)
-      return support::invalid_argument(
-          "jpeg_decode_planes: workers must be in [1, 256]");
-    return std::unique_ptr<hinch::Component>(
-        new JpegDecodePlanesComponent(workers));
+      const hinch::ComponentConfig&) {
+    return std::unique_ptr<hinch::Component>(new JpegDecodePlanesComponent());
   }
 
-  explicit JpegDecodePlanesComponent(int workers)
+  JpegDecodePlanesComponent()
       : in_(declare_input("jpeg")),
-        outs_{declare_output("y"), declare_output("u"), declare_output("v")},
-        workers_(workers) {}
+        outs_{declare_output("y"), declare_output("u"), declare_output("v")} {}
 
   void run(ExecContext& ctx) override {
     auto bytes = ctx.read(in_).get<std::vector<uint8_t>>();
@@ -98,8 +91,7 @@ class JpegDecodePlanesComponent : public hinch::Component {
       spare_ = std::make_shared<CoeffImage>();
     auto img = spare_;
     support::Status st = media::jpeg::decode_to_coefficients_into(
-        bytes->data(), bytes->size(), img.get(),
-        media::jpeg::HuffmanImpl::kLookupTable, workers_);
+        bytes->data(), bytes->size(), img.get());
     SUP_CHECK_MSG(st.is_ok(), st.to_string().c_str());
     SUP_CHECK_MSG(img->comps.size() == 3,
                   "jpeg_decode_planes: stream is not YUV");
@@ -128,7 +120,6 @@ class JpegDecodePlanesComponent : public hinch::Component {
  private:
   int in_;
   int outs_[3];
-  int workers_;
   std::shared_ptr<CoeffImage> spare_;
 };
 
@@ -441,7 +432,6 @@ support::Result<sp::LeafSpec> rewrite_jpeg_decode_planes(
   sp::LeafSpec fused;
   fused.instance = joined_instance(specs);
   fused.klass = "jpeg_decode_planes";
-  fused.params = {{"workers", param_or(dec, "workers", "1")}};
   fused.inputs = {{"jpeg", *jpeg}};
   fused.outputs = std::move(outs);
   return fused;

@@ -159,8 +159,7 @@ void SessionExecutor::start_session(const SessionPtr& s) {
     std::lock_guard<std::mutex> lock(s->mu_);
     s->status_ = SessionStatus::kRunning;
   }
-  obs::TraceSession* trace =
-      obs::kTraceCompiledIn ? s->config_.trace : nullptr;
+  obs::TraceSession* trace = s->config_.trace;
   if (trace != nullptr) {
     trace->begin_run(workers(), obs::ClockDomain::kWallNanos);
     s->trace_task_names_.clear();
@@ -175,6 +174,10 @@ void SessionExecutor::start_session(const SessionPtr& s) {
     s->trace_pending_name_ = trace->intern("pending jobs");
   }
 
+  // The gauge only ever rises within a run (set_max); start each run
+  // from zero so a reused registry does not carry the last run's count.
+  if (s->metrics_ != nullptr)
+    s->metrics_->set("live.iterations_done", int64_t{0});
   std::vector<JobRef> initial = s->scheduler_->start();
   s->pending_.store(static_cast<int64_t>(initial.size()),
                     std::memory_order_relaxed);
@@ -343,7 +346,7 @@ void SessionExecutor::run_chain(int worker_id, Job job) {
   Worker& self = *slots_[static_cast<size_t>(worker_id)];
   Session& s = *job.session;
   Scheduler& sched = *s.scheduler_;
-  obs::TraceSession* trace = obs::kTraceCompiledIn ? s.config_.trace : nullptr;
+  obs::TraceSession* trace = s.config_.trace;
   obs::TraceRecorder* rec =
       trace != nullptr ? trace->recorder(worker_id) : nullptr;
   // Chain loop: run the job, then directly continue with its first
@@ -383,7 +386,7 @@ void SessionExecutor::run_chain(int worker_id, Job job) {
                      session_now_ns(s), now_pending);
       if (s.metrics_ != nullptr) {
         s.metrics_->set("live.pending_jobs", now_pending);
-        s.metrics_->set("live.iterations_done", sched.iterations_done());
+        s.metrics_->set_max("live.iterations_done", sched.iterations_done());
       }
       {
         std::lock_guard<std::mutex> lock(self.mu);
@@ -403,7 +406,7 @@ void SessionExecutor::run_chain(int worker_id, Job job) {
   if (s.metrics_ != nullptr) {
     s.metrics_->set("live.pending_jobs",
                     s.pending_.load(std::memory_order_relaxed) - 1);
-    s.metrics_->set("live.iterations_done", sched.iterations_done());
+    s.metrics_->set_max("live.iterations_done", sched.iterations_done());
   }
   retire_unit(job.session);
 }
@@ -428,6 +431,11 @@ void SessionExecutor::finalize(const SessionPtr& s) {
   result.sched = s->scheduler_->stats();
   result.jobs = s->jobs_executed_.load(std::memory_order_relaxed);
   result.iterations_done = s->scheduler_->iterations_done();
+  // Publish the final count before any waiter can wake: the workers'
+  // last set_max may have read the scheduler before the final
+  // iteration retired.
+  if (s->metrics_ != nullptr)
+    s->metrics_->set_max("live.iterations_done", result.iterations_done);
   {
     std::lock_guard<std::mutex> lock(s->frame_mu_);
     result.frame_done_ns = s->frame_done_ns_;
@@ -520,7 +528,7 @@ bool SessionExecutor::steal(int id, Job* out) {
     // The steal marker lands in the *stolen job's* session trace — the
     // session is the trace namespace, the pool is anonymous. No park
     // markers: parking is pool-level and attributable to no session.
-    if (obs::kTraceCompiledIn && out->session->config_.trace != nullptr &&
+    if (out->session->config_.trace != nullptr &&
         !out->session->cancelled_.load(std::memory_order_acquire)) {
       Session& s = *out->session;
       s.config_.trace->recorder(id)->instant(s.trace_steal_name_,

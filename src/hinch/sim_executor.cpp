@@ -91,7 +91,7 @@ class SimRun {
       params_.dequeue_cycles = 0;
       params_.enqueue_cycles = 0;
     }
-    if (obs::kTraceCompiledIn && params.trace != nullptr) {
+    if (params.trace != nullptr) {
       trace_ = params.trace;
       trace_->begin_run(cores, obs::ClockDomain::kCycles);
       if (num_tiles_ > 1) {

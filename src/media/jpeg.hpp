@@ -44,54 +44,35 @@ struct CoeffImage {
 
 // Encode a kGray or kYuv420 frame as baseline JPEG. quality in [1, 100].
 // restart_interval > 0 emits a DRI segment and an RSTn marker every that
-// many MCUs (resynchronization points; also what would let a parallel
-// decoder split the entropy stream).
+// many MCUs (resynchronization points).
 support::Result<std::vector<uint8_t>> encode(const Frame& frame, int quality,
                                              int restart_interval = 0);
 
 // --- decoding ---------------------------------------------------------------
 
-// Host-side implementation selection for the two decode phases. The
-// optimized paths are the defaults; the reference paths are retained for
-// equivalence tests and as the "before" leg of the decode microbench.
-// Neither choice affects the simulated-cycle helpers below.
-enum class HuffmanImpl {
-  kLookupTable,  // 8-bit fast-path table + 64-bit buffered bit reader
-  kBitSerial,    // original one-bit-at-a-time T.81 §F.2.2.3 walk
-};
-enum class IdctImpl {
-  kFixedPoint,      // fixed-point AAN separable IDCT
-  kFloatReference,  // naive O(8) float multiply per output per pass
-};
-
-// Phase 1: parse markers, entropy-decode, dequantize. Both Huffman
-// implementations produce bit-identical CoeffImages.
-//
-// workers > 1 entropy-decodes restart-marker-delimited segments of the
-// scan on that many host threads (kLookupTable only). Restart segments
-// share no decoder state by construction (T.81 §F.2.1.3.1: DC predictors
-// reset, byte-aligned), so the result is bit-identical to the serial
-// decode; streams without restart markers — and malformed marker layouts
-// — silently take the serial path so every error keeps its serial text.
-support::Result<CoeffImage> decode_to_coefficients(
-    const uint8_t* data, size_t size,
-    HuffmanImpl impl = HuffmanImpl::kLookupTable, int workers = 1);
+// Phase 1: parse markers, entropy-decode, dequantize. One serial,
+// table-driven Huffman decode; restart markers are resynchronization
+// points, not a source of parallelism (an MJPEG stream's parallelism is
+// frame-level, from the executor's iteration window). The bit-serial
+// baseline decoder the tests and bench_media compare against lives in
+// tests/reference.
+support::Result<CoeffImage> decode_to_coefficients(const uint8_t* data,
+                                                   size_t size);
 
 // Streaming variant: decodes into `*out`, reusing its coefficient-block
 // storage when the geometry matches the previous frame. For an MJPEG
 // stream this skips a multi-megabyte allocation + zero-fill per frame,
 // which otherwise rivals the entropy decode itself in wall-clock cost.
 // On error `*out` is left in an unspecified (but reusable) state.
-support::Status decode_to_coefficients_into(
-    const uint8_t* data, size_t size, CoeffImage* out,
-    HuffmanImpl impl = HuffmanImpl::kLookupTable, int workers = 1);
+support::Status decode_to_coefficients_into(const uint8_t* data, size_t size,
+                                            CoeffImage* out);
 
 // Phase 2: IDCT block rows [block_row0, block_row1) of one component into
 // `out` (which must have the component's pixel dimensions). Thread-safe
-// for disjoint row ranges. The fixed-point path is within +-1 LSB of the
-// float reference.
+// for disjoint row ranges. Fixed-point AAN through the kernel dispatch
+// table; within +-1 LSB of the float IDCT in tests/reference.
 void idct_component(const CoeffPlane& comp, PlaneView out, int block_row0,
-                    int block_row1, IdctImpl impl = IdctImpl::kFixedPoint);
+                    int block_row1);
 
 // Fused phase 2 + box downscale: IDCT the blocks covering destination
 // rows [row0, row1) of the `factor`-downscaled component into an
@@ -99,15 +80,13 @@ void idct_component(const CoeffPlane& comp, PlaneView out, int block_row0,
 // plane never materializes. `dst` is the downscaled plane
 // (comp dims >= dst dims * factor). Bit-identical to idct_component
 // into a full plane followed by media::downscale_box over the same
-// rows, for either IdctImpl. Strips are aligned to the lcm(8, factor)
-// grid, so slice boundaries share no recomputation.
+// rows. Strips are aligned to the lcm(8, factor) grid, so slice
+// boundaries share no recomputation.
 void idct_downscale(const CoeffPlane& comp, PlaneView dst, int factor,
-                    int row0, int row1, IdctImpl impl = IdctImpl::kFixedPoint);
+                    int row0, int row1);
 
-// Single-block transforms, exposed for accuracy tests and microbenches.
-// Float reference: raw spatial values (caller level-shifts and clamps).
-void idct_block_float(const int16_t in[64], float out[64]);
-// Fixed-point AAN: final pixels (level shift + clamp applied).
+// Single-block fixed-point AAN transform, exposed for accuracy tests and
+// microbenches: final pixels (level shift + clamp applied).
 void idct_block_fixed(const int16_t in[64], uint8_t out[64]);
 
 // Full decode (phase 1 + phase 2 over all rows).

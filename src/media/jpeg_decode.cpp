@@ -1,9 +1,7 @@
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
-#include <thread>
 
 #include "media/jpeg.hpp"
 #include "media/jpeg_common.hpp"
@@ -40,113 +38,6 @@ support::Status entropy_error(BitEnd end, const char* what) {
   }
 }
 
-// ---- reference bit reader: one byte at a time, bit-serial ------------------
-//
-// The original decoder path, kept as the equivalence baseline for tests
-// and as the "before" leg of the decode microbench. Handles 0xFF00
-// unstuffing and stops at real markers.
-
-class RefBitReader {
- public:
-  RefBitReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  void set_pos(size_t pos) { pos_ = pos; }
-  size_t pos() const { return pos_; }
-  BitEnd end_reason() const { return end_; }
-
-  // Returns -1 on end of data / marker encountered.
-  int next_bit() {
-    if (nbits_ == 0) {
-      if (!fill()) return -1;
-    }
-    --nbits_;
-    return (acc_ >> nbits_) & 1;
-  }
-
-  // Read `n` bits MSB-first; -1 on failure.
-  int32_t get_bits(int n) {
-    int32_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      int b = next_bit();
-      if (b < 0) return -1;
-      v = (v << 1) | b;
-    }
-    return v;
-  }
-
-  // Align to a byte boundary and consume an expected RSTn marker.
-  bool consume_restart(int expected_index) {
-    nbits_ = 0;
-    if (pos_ + 1 >= size_) return false;
-    if (data_[pos_] != 0xff) return false;
-    uint8_t m = data_[pos_ + 1];
-    if (m != static_cast<uint8_t>(kRST0 + (expected_index & 7))) return false;
-    pos_ += 2;
-    end_ = BitEnd::kNone;
-    return true;
-  }
-
-  // True when only byte-alignment padding remains buffered and the next
-  // bytes in the stream are the given marker.
-  bool at_trailing_marker(uint8_t marker) const {
-    if (nbits_ >= 8) return false;  // whole undecoded entropy bytes remain
-    return pos_ + 1 < size_ && data_[pos_] == 0xff &&
-           data_[pos_ + 1] == marker;
-  }
-
- private:
-  bool fill() {
-    while (pos_ < size_) {
-      uint8_t byte = data_[pos_];
-      if (byte == 0xff) {
-        if (pos_ + 1 < size_ && data_[pos_ + 1] == 0x00) {
-          pos_ += 2;  // stuffed 0xff
-          acc_ = 0xff;
-          nbits_ = 8;
-          return true;
-        }
-        // A real marker terminates entropy data; a lone trailing 0xFF is
-        // a truncated marker.
-        end_ = pos_ + 1 < size_ ? BitEnd::kMarker : BitEnd::kEof;
-        return false;
-      }
-      ++pos_;
-      acc_ = byte;
-      nbits_ = 8;
-      return true;
-    }
-    end_ = BitEnd::kEof;
-    return false;
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  uint32_t acc_ = 0;
-  int nbits_ = 0;
-  BitEnd end_ = BitEnd::kNone;
-};
-
-// Decode one Huffman symbol bit-serially (T.81 §F.2.2.3). Returns -1 on
-// failure.
-int decode_symbol(RefBitReader& br, const HuffDecodeTable& t) {
-  int32_t code = br.next_bit();
-  if (code < 0) return -1;
-  for (int len = 1; len <= 16; ++len) {
-    if (t.max_code[static_cast<size_t>(len)] >= 0 &&
-        code <= t.max_code[static_cast<size_t>(len)]) {
-      int idx = t.val_ptr[static_cast<size_t>(len)] +
-                (code - t.min_code[static_cast<size_t>(len)]);
-      if (idx < 0 || idx >= static_cast<int>(t.values.size())) return -1;
-      return t.values[static_cast<size_t>(idx)];
-    }
-    int b = br.next_bit();
-    if (b < 0) return -1;
-    code = (code << 1) | b;
-  }
-  return -1;
-}
-
 // ---- fast bit reader: 64-bit accumulator with bulk refill ------------------
 //
 // Buffers up to 63 bits so a whole (symbol, magnitude-bits) pair is
@@ -161,7 +52,6 @@ class FastBitReader {
       : data_(data), size_(size) {}
 
   void set_pos(size_t pos) { pos_ = pos; }
-  size_t pos() const { return pos_; }
   BitEnd end_reason() const { return end_; }
   int bits() const { return nbits_; }
 
@@ -326,12 +216,10 @@ inline int extend(int v, int nbits) {
 
 // Hot-loop refill hoisting: one refill before each (symbol, value) pair
 // covers the worst case (16 code bits + 11 magnitude bits), so the
-// decode fast path below runs with no buffered-bits checks. The
-// bit-serial reference reader keeps its per-bit flow.
+// decode fast path below runs with no buffered-bits checks.
 inline void ensure_bits(FastBitReader& br) {
   if (br.bits() < 32) br.refill();
 }
-inline void ensure_bits(RefBitReader&) {}
 
 // Fused (symbol, magnitude) decode: one wide peek covers the table
 // probe AND the magnitude bits that follow, so the common case costs a
@@ -359,10 +247,6 @@ inline bool decode_sym_mag(FastBitReader& br, const HuffDecodeTable& t,
                               ((1u << s) - 1));
   return true;
 }
-inline bool decode_sym_mag(RefBitReader&, const HuffDecodeTable&, int*,
-                           int32_t*) {
-  return false;  // reference reader always takes the bit-serial path
-}
 
 // Magnitude bits without the refill check; only valid right after
 // ensure_bits + a successful symbol decode (<= 16 bits consumed leaves
@@ -372,9 +256,6 @@ inline int32_t get_bits_hot(FastBitReader& br, int n) {
   uint32_t v = br.peek(n);
   br.consume(n);
   return static_cast<int32_t>(v);
-}
-inline int32_t get_bits_hot(RefBitReader& br, int n) {
-  return br.get_bits(n);
 }
 
 struct FrameComponent {
@@ -389,11 +270,10 @@ struct FrameComponent {
 // whole scan when there are no restart markers. The reader must be
 // positioned at the segment's first entropy byte with an empty
 // accumulator, and `comps` carries the DC predictors (reset to 0 at
-// every restart boundary by the callers). Nonzero-coefficient counts
-// accumulate into *nonzero so parallel segment decodes stay disjoint.
-template <class Reader>
+// every restart boundary by the caller). Nonzero-coefficient counts
+// accumulate into *nonzero.
 support::Status decode_mcu_run(
-    Reader& br, std::vector<FrameComponent>& comps,
+    FastBitReader& br, std::vector<FrameComponent>& comps,
     const std::array<std::array<uint16_t, 64>, 4>& quant_tables,
     const std::array<HuffDecodeTable, 4>& dc_tables,
     const std::array<HuffDecodeTable, 4>& ac_tables, int mcus_x,
@@ -483,14 +363,13 @@ support::Status decode_mcu_run(
   return support::Status::ok();
 }
 
-// Entropy-decode the single interleaved scan into `img`, serially, as a
-// chain of restart-delimited MCU runs (one run covering the whole scan
-// when there are no restart markers). Shared between the table-driven
-// and bit-serial readers; both must produce identical coefficients
-// (asserted by tests).
-template <class Reader>
+// Entropy-decode the single interleaved scan into `img` as a chain of
+// restart-delimited MCU runs (one run covering the whole scan when there
+// are no restart markers). The bit-serial baseline decoder in
+// tests/reference must produce identical coefficients (asserted by
+// tests).
 support::Status decode_scan(
-    Reader& br, std::vector<FrameComponent>& comps,
+    FastBitReader& br, std::vector<FrameComponent>& comps,
     const std::array<std::array<uint16_t, 64>, 4>& quant_tables,
     const std::array<HuffDecodeTable, 4>& dc_tables,
     const std::array<HuffDecodeTable, 4>& ac_tables, int mcus_x, int mcus_y,
@@ -514,139 +393,6 @@ support::Status decode_scan(
   return support::Status::ok();
 }
 
-// ---- restart-marker parallel entropy decode --------------------------------
-//
-// Restart segments are independent by construction (T.81 §F.2.1.3.1):
-// byte-aligned, DC predictors reset, delimited by RST(n mod 8) markers.
-// A fresh FastBitReader positioned just past a restart marker is in
-// exactly the state the serial reader has after consume_restart (empty
-// accumulator, end = kNone), and each segment decodes a disjoint
-// [mcu_begin, mcu_end) block range, so segments can run on independent
-// threads and remain bit-identical to the serial decode.
-
-// One restart-delimited span of the entropy stream.
-struct RestartSegment {
-  int mcu_begin = 0;
-  int mcu_end = 0;  // exclusive
-  size_t pos = 0;   // first entropy byte (just past the preceding RSTn)
-};
-
-// Walk the entropy stream once, recording where each restart segment
-// starts (0xFF00 is a stuffed data byte, anything else 0xFF-prefixed is
-// a marker). Returns false when the layout is not the well-formed one
-// the parallel decoder handles — a wrong-index or non-RST marker, or the
-// stream ending early — in which case the caller falls back to the
-// serial path so malformed streams keep their exact serial error text.
-bool prescan_restart_segments(const uint8_t* data, size_t size,
-                              size_t scan_start, int total_mcus,
-                              int restart_interval,
-                              std::vector<RestartSegment>* segs) {
-  const int nseg = (total_mcus + restart_interval - 1) / restart_interval;
-  segs->clear();
-  segs->reserve(static_cast<size_t>(nseg));
-  size_t pos = scan_start;
-  for (int s = 0; s < nseg; ++s) {
-    segs->push_back({s * restart_interval,
-                     std::min(total_mcus, (s + 1) * restart_interval), pos});
-    if (s == nseg - 1) break;  // last segment ends at EOI, not RSTn
-    for (;;) {
-      if (pos + 1 >= size) return false;  // ran off the stream
-      if (data[pos] != 0xff) {
-        ++pos;
-        continue;
-      }
-      uint8_t m = data[pos + 1];
-      if (m == 0x00) {
-        pos += 2;  // stuffed data byte
-        continue;
-      }
-      if (m != static_cast<uint8_t>(kRST0 + (s & 7))) return false;
-      pos += 2;
-      break;
-    }
-  }
-  return true;
-}
-
-// Decode the prescanned segments on up to `workers` threads. Each
-// segment's failure set is identical to the serial decode's (same reader
-// state, same deterministic walk), so returning the earliest failing
-// segment's status reproduces the serial error exactly; the trailing
-// RSTn / EOI checks the serial path does between and after runs are
-// folded into each segment here.
-support::Status decode_scan_restart_parallel(
-    const uint8_t* data, size_t size,
-    const std::vector<FrameComponent>& comps,
-    const std::array<std::array<uint16_t, 64>, 4>& quant_tables,
-    const std::array<HuffDecodeTable, 4>& dc_tables,
-    const std::array<HuffDecodeTable, 4>& ac_tables, int mcus_x,
-    const std::vector<RestartSegment>& segs, int workers, CoeffImage& img,
-    bool zero_blocks) {
-  const int nseg = static_cast<int>(segs.size());
-  std::vector<support::Status> status(static_cast<size_t>(nseg));
-  std::vector<size_t> nonzero(static_cast<size_t>(nseg), 0);
-  std::atomic<int> next{0};
-  auto work = [&]() {
-    for (;;) {
-      const int s = next.fetch_add(1, std::memory_order_relaxed);
-      if (s >= nseg) return;
-      const RestartSegment& seg = segs[static_cast<size_t>(s)];
-      FastBitReader br(data, size);
-      br.set_pos(seg.pos);
-      std::vector<FrameComponent> local = comps;
-      for (FrameComponent& c : local) c.dc_pred = 0;
-      support::Status st = decode_mcu_run(
-          br, local, quant_tables, dc_tables, ac_tables, mcus_x,
-          seg.mcu_begin, seg.mcu_end, img, &nonzero[static_cast<size_t>(s)],
-          zero_blocks);
-      if (st.is_ok()) {
-        if (s + 1 < nseg) {
-          // The segment must end exactly at its own restart marker (the
-          // prescan found one, but a short segment can leave undecoded
-          // entropy bytes before it — serial fails there too).
-          if (!br.consume_restart(s & 7)) st = bad("missing RSTn");
-        } else if (!br.at_trailing_marker(kEOI)) {
-          st = bad("entropy data not terminated by EOI");
-        }
-      }
-      status[static_cast<size_t>(s)] = st;
-    }
-  };
-  const int nthreads = std::max(1, std::min(workers, nseg));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(nthreads - 1));
-  for (int i = 1; i < nthreads; ++i) threads.emplace_back(work);
-  work();
-  for (std::thread& t : threads) t.join();
-  for (int s = 0; s < nseg; ++s) {
-    if (!status[static_cast<size_t>(s)].is_ok())
-      return status[static_cast<size_t>(s)];
-    img.nonzero_coeffs += nonzero[static_cast<size_t>(s)];
-  }
-  return support::Status::ok();
-}
-
-// ---- inverse DCT ---------------------------------------------------------------
-
-// Float reference tables: scale(u) * cos[(2x+1) u pi / 16], indexed [x][u].
-struct IdctTables {
-  float c[8][8];
-  IdctTables() {
-    for (int x = 0; x < 8; ++x) {
-      for (int u = 0; u < 8; ++u) {
-        float s = u == 0 ? std::sqrt(0.125f) : 0.5f;
-        c[x][u] =
-            s * std::cos((2 * x + 1) * u * 3.14159265358979323846f / 16);
-      }
-    }
-  }
-};
-
-const IdctTables& idct_tables() {
-  static const IdctTables t;
-  return t;
-}
-
 // ---- fixed-point AAN IDCT ----------------------------------------------------
 //
 // Arai-Agui-Nakajima separable 8-point IDCT (the jidctfst flowgraph): 5
@@ -654,8 +400,8 @@ const IdctTables& idct_tables() {
 // Inputs are pre-scaled by s[u]*s[v] (s[0] = 1, s[k] = sqrt(2) cos(k
 // pi/16)) folded into one 3.12 fixed-point multiplier table built once;
 // the flowgraph then needs only four irrational constants. 64-bit
-// intermediates keep the whole computation exact to well under 1 LSB of
-// the float reference (asserted by tests).
+// intermediates keep the whole computation within 1 LSB of the float
+// IDCT in tests/reference (asserted by tests).
 
 // The shift amounts and irrational constants are shared with the vector
 // IDCT tiers (media/kernels_simd.hpp) so scalar and SIMD run the same
@@ -735,27 +481,6 @@ inline void aan_pass(int64_t i0, int64_t i1, int64_t i2, int64_t i3,
 
 }  // namespace
 
-void idct_block_float(const int16_t in[64], float out[64]) {
-  const IdctTables& t = idct_tables();
-  float tmp[64];
-  // rows: for each row v, inverse over u
-  for (int v = 0; v < 8; ++v) {
-    for (int x = 0; x < 8; ++x) {
-      float acc = 0;
-      for (int u = 0; u < 8; ++u)
-        acc += static_cast<float>(in[v * 8 + u]) * t.c[x][u];
-      tmp[v * 8 + x] = acc;
-    }
-  }
-  // columns
-  for (int x = 0; x < 8; ++x) {
-    for (int y = 0; y < 8; ++y) {
-      float acc = 0;
-      for (int v = 0; v < 8; ++v) acc += tmp[v * 8 + x] * t.c[y][v];
-      out[y * 8 + x] = acc;
-    }
-  }
-}
 
 void idct_block_fixed(const int16_t in[64], uint8_t out[64]) {
   // Routed through the runtime kernel dispatch table: the scalar
@@ -820,8 +545,7 @@ void idct8x8_scalar(const int16_t in[64], const int32_t prescale[64],
 namespace media::jpeg {
 
 support::Status decode_to_coefficients_into(const uint8_t* data, size_t size,
-                                            CoeffImage* out, HuffmanImpl impl,
-                                            int workers) {
+                                            CoeffImage* out) {
   if (size < 4 || data[0] != 0xff || data[1] != kSOI)
     return bad("missing SOI marker");
 
@@ -1005,48 +729,21 @@ support::Status decode_to_coefficients_into(const uint8_t* data, size_t size,
   }
 
   // --- entropy decode ---
-  if (impl == HuffmanImpl::kLookupTable) {
-    // Restart-parallel path: only for well-formed restart layouts (the
-    // prescan proves every delimiter is in place); anything else decodes
-    // serially so malformed streams keep their exact serial error text.
-    if (workers > 1 && restart_interval > 0 && mcus_x * mcus_y > 1) {
-      std::vector<RestartSegment> segs;
-      if (prescan_restart_segments(data, size, scan_start, mcus_x * mcus_y,
-                                   restart_interval, &segs) &&
-          segs.size() > 1) {
-        return decode_scan_restart_parallel(data, size, comps, quant_tables,
-                                            dc_tables, ac_tables, mcus_x,
-                                            segs, workers, img, zero_blocks);
-      }
-    }
-    FastBitReader br(data, size);
-    br.set_pos(scan_start);
-    support::Status st =
-        decode_scan(br, comps, quant_tables, dc_tables, ac_tables, mcus_x,
-                    mcus_y, restart_interval, img, zero_blocks);
-    if (!st.is_ok()) return st;
-    if (!br.at_trailing_marker(kEOI))
-      return bad("entropy data not terminated by EOI");
-  } else {
-    RefBitReader br(data, size);
-    br.set_pos(scan_start);
-    support::Status st =
-        decode_scan(br, comps, quant_tables, dc_tables, ac_tables, mcus_x,
-                    mcus_y, restart_interval, img, zero_blocks);
-    if (!st.is_ok()) return st;
-    if (!br.at_trailing_marker(kEOI))
-      return bad("entropy data not terminated by EOI");
-  }
+  FastBitReader br(data, size);
+  br.set_pos(scan_start);
+  support::Status st =
+      decode_scan(br, comps, quant_tables, dc_tables, ac_tables, mcus_x,
+                  mcus_y, restart_interval, img, zero_blocks);
+  if (!st.is_ok()) return st;
+  if (!br.at_trailing_marker(kEOI))
+    return bad("entropy data not terminated by EOI");
   return support::Status::ok();
 }
 
 support::Result<CoeffImage> decode_to_coefficients(const uint8_t* data,
-                                                   size_t size,
-                                                   HuffmanImpl impl,
-                                                   int workers) {
+                                                   size_t size) {
   CoeffImage img;
-  support::Status st =
-      decode_to_coefficients_into(data, size, &img, impl, workers);
+  support::Status st = decode_to_coefficients_into(data, size, &img);
   if (!st.is_ok()) return st;
   return img;
 }
@@ -1060,29 +757,9 @@ namespace {
 // regardless of row_base, so the strip-buffered fused path is
 // bit-identical to the full-plane path.
 void idct_block_rows(const CoeffPlane& comp, PlaneView out, int block_row0,
-                     int block_row1, int row_base, IdctImpl impl) {
+                     int block_row1, int row_base) {
   if (block_row0 < 0) block_row0 = 0;
   if (block_row1 > comp.blocks_h) block_row1 = comp.blocks_h;
-  if (impl == IdctImpl::kFloatReference) {
-    float pixels[64];
-    for (int by = block_row0; by < block_row1; ++by) {
-      for (int bx = 0; bx < comp.blocks_w; ++bx) {
-        idct_block_float(
-            comp.blocks[static_cast<size_t>(by) * comp.blocks_w + bx].data(),
-            pixels);
-        const int y_end = std::min(8, comp.height - by * 8);
-        const int x_end = std::min(8, comp.width - bx * 8);
-        for (int y = 0; y < y_end; ++y) {
-          uint8_t* row = out.row(by * 8 + y - row_base) + bx * 8;
-          for (int x = 0; x < x_end; ++x) {
-            int v = static_cast<int>(std::lround(pixels[y * 8 + x])) + 128;
-            row[x] = static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
-          }
-        }
-      }
-    }
-    return;
-  }
   // Hoist the dispatch-table fetch out of the block loop, and let
   // interior blocks write the plane directly (stride = plane stride);
   // only blocks clipped by the right/bottom plane edge stage through a
@@ -1114,13 +791,13 @@ void idct_block_rows(const CoeffPlane& comp, PlaneView out, int block_row0,
 }  // namespace
 
 void idct_component(const CoeffPlane& comp, PlaneView out, int block_row0,
-                    int block_row1, IdctImpl impl) {
+                    int block_row1) {
   SUP_CHECK(out.width == comp.width && out.height == comp.height);
-  idct_block_rows(comp, out, block_row0, block_row1, /*row_base=*/0, impl);
+  idct_block_rows(comp, out, block_row0, block_row1, /*row_base=*/0);
 }
 
 void idct_downscale(const CoeffPlane& comp, PlaneView dst, int factor,
-                    int row0, int row1, IdctImpl impl) {
+                    int row0, int row1) {
   SUP_CHECK(factor >= 1);
   SUP_CHECK(comp.width >= dst.width * factor);
   SUP_CHECK(comp.height >= dst.height * factor);
@@ -1147,7 +824,7 @@ void idct_downscale(const CoeffPlane& comp, PlaneView dst, int factor,
     strip.resize(static_cast<size_t>(strip_rows) *
                  static_cast<size_t>(comp.width));
     PlaneView sv{strip.data(), comp.width, strip_rows, comp.width};
-    idct_block_rows(comp, sv, block_row0, block_row1, strip_base, impl);
+    idct_block_rows(comp, sv, block_row0, block_row1, strip_base);
     // Box-average rows [a, b) of dst straight out of the strip: shifted
     // sub-views line the row indices up so the shared downscale kernel
     // (and its dispatch tiers) runs unchanged.

@@ -18,8 +18,7 @@ namespace media {
 //
 // Every pixel kernel below (and the fixed-point AAN IDCT in jpeg.hpp)
 // routes its inner row loops through one of several implementation
-// tiers, selected once at runtime — the same reference-retention pattern
-// as HuffmanImpl/IdctImpl, extended to x86 vector instruction sets
+// tiers, selected once at runtime among the x86 vector instruction sets
 // (other hosts run the scalar tier, vectorized by the compiler). The
 // scalar tier is the bit-exactness reference; every vector tier must
 // produce byte-identical output (tests/test_kernels_equiv.cpp pins this

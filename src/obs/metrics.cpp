@@ -105,6 +105,18 @@ void MetricsRegistry::set(const std::string& name, double value) {
   metrics_[name] = MetricValue{true, 0, value};
 }
 
+void MetricsRegistry::set_max(const std::string& name, int64_t value) {
+  if (parent_ != nullptr) {
+    parent_->set_max(prefix_ + name, value);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  const MetricValue raised{false, value, 0};
+  auto [it, absent] = metrics_.try_emplace(name, raised);
+  if (!absent && (it->second.is_double || it->second.i < value))
+    it->second = raised;
+}
+
 void MetricsRegistry::add(const std::string& name, int64_t delta) {
   if (parent_ != nullptr) {
     parent_->add(prefix_ + name, delta);

@@ -95,6 +95,10 @@ class MetricsRegistry {
   // model above).
   void add(const std::string& name, int64_t delta);
   void add(const std::string& name, double delta);
+  // Raise an integer gauge to `value` when it is absent or lower. The
+  // compare and the store share the registry lock, so concurrent
+  // publishers of a monotonic count can never move it backwards.
+  void set_max(const std::string& name, int64_t value);
   // Smaller integer types would otherwise be ambiguous between the
   // int64 and double overloads; they are counters, route accordingly.
   void set(const std::string& name, int value) {

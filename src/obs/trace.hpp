@@ -24,9 +24,6 @@
 //
 // Cost when off: a run without an attached session never constructs a
 // recorder and every emit site sits behind a nullptr test on a local.
-// Building with -DHINCH_TRACING=OFF (which defines XSPCL_OBS_DISABLED)
-// additionally turns the emit paths into constant-foldable no-ops so
-// the instrumentation compiles out of the executors entirely.
 #pragma once
 
 #include <atomic>
@@ -39,12 +36,6 @@
 #include "support/check.hpp"
 
 namespace obs {
-
-#ifdef XSPCL_OBS_DISABLED
-inline constexpr bool kTraceCompiledIn = false;
-#else
-inline constexpr bool kTraceCompiledIn = true;
-#endif
 
 // The time base of a session's timestamps.
 enum class ClockDomain : uint8_t {
@@ -83,10 +74,6 @@ class TraceRecorder {
   explicit TraceRecorder(size_t capacity);
 
   void emit(const TraceEvent& ev) {
-    if constexpr (!kTraceCompiledIn) {
-      (void)ev;
-      return;
-    }
     uint64_t h = head_.load(std::memory_order_relaxed);
     ring_[static_cast<size_t>(h) & mask_] = ev;
     head_.store(h + 1, std::memory_order_release);

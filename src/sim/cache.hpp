@@ -43,8 +43,9 @@
 //
 //   LruImpl::kListReference — the original std::list +
 //   std::unordered_map structures, retained as the equivalence baseline
-//   for tests and the "before" leg of bench_sim (the same pattern as
-//   media's HuffmanImpl::kBitSerial).
+//   for tests and the "before" leg of bench_sim. (The media decoder's
+//   equivalent oracles live in tests/reference; this one stays because
+//   moving it needs a seam on the per-access hot path.)
 #pragma once
 
 #include <cstdint>

@@ -7,8 +7,8 @@
 //
 // Setting HINCH_FORCE_SCALAR in the environment (to anything but "0" or
 // the empty string) reports every vector feature as absent, pinning the
-// bit-exactness reference path — the kernel analogue of
-// HuffmanImpl::kBitSerial. See docs/PERF.md.
+// scalar tier every vector tier must match byte for byte. See
+// docs/PERF.md.
 #pragma once
 
 namespace support {

@@ -147,9 +147,9 @@ std::string generate_cpp(const sp::Node& root,
       "//\n"
       "// This is the glue code between the components and the Hinch run\n"
       "// time system; it executes only at initialization time.\n"
+      "#include <cstdint>\n"
       "#include <cstdio>\n"
       "#include <cstring>\n"
-      "#include <cstdlib>\n"
       "#include <vector>\n"
       "\n"
       "#include \"sp/graph.hpp\"\n";
@@ -157,7 +157,8 @@ std::string generate_cpp(const sp::Node& root,
     out +=
         "#include \"components/components.hpp\"\n"
         "#include \"hinch/runtime.hpp\"\n"
-        "#include \"sp/validate.hpp\"\n";
+        "#include \"sp/validate.hpp\"\n"
+        "#include \"support/strings.hpp\"\n";
   }
   out += "\nnamespace xspcl_gen_" + options.app_name + " {\n\n";
   out += "sp::NodePtr build_graph() {\n";
@@ -173,13 +174,22 @@ int main(int argc, char** argv) {
   long long iterations = %lld;
   bool threads = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--cores=", 8) == 0)
-      cores = std::atoi(argv[i] + 8);
-    else if (std::strncmp(argv[i], "--iterations=", 13) == 0)
-      iterations = std::atoll(argv[i] + 13);
-    else if (std::strcmp(argv[i], "--backend=threads") == 0)
+    const char* a = argv[i];
+    bool ok = true;
+    if (std::strncmp(a, "--cores=", 8) == 0) {
+      support::Result<int64_t> v = support::parse_int(a + 8);
+      ok = v.is_ok() && v.value() >= 1 && v.value() <= 256;
+      if (ok) cores = static_cast<int>(v.value());
+    } else if (std::strncmp(a, "--iterations=", 13) == 0) {
+      support::Result<int64_t> v = support::parse_int(a + 13);
+      ok = v.is_ok() && v.value() >= 1;
+      if (ok) iterations = v.value();
+    } else if (std::strcmp(a, "--backend=threads") == 0) {
       threads = true;
-    else if (std::strcmp(argv[i], "--backend=sim") != 0) {
+    } else {
+      ok = std::strcmp(a, "--backend=sim") == 0;
+    }
+    if (!ok) {
       std::fprintf(stderr, "usage: %%s [--backend=sim|threads] [--cores=N]"
                            " [--iterations=N]\n", argv[0]);
       return 2;

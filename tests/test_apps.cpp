@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.hpp"
+#include "apps/catalog.hpp"
 #include "components/components.hpp"
 #include "components/sinks.hpp"
 #include "hinch/runtime.hpp"
@@ -342,6 +343,32 @@ TEST(Apps, RebuildingProgramGivesSameCycles) {
   sim.cores = 3;
   EXPECT_EQ(hinch::run_on_sim(*prog1, run, sim).total_cycles,
             hinch::run_on_sim(*prog2, run, sim).total_cycles);
+}
+
+// xspclc emit-app and hinchd's open both go through the catalog, so its
+// reconfigurable=1 must be exactly the PiP-12 / JPiP-12 / Blur-35 spec,
+// whatever order the keys come in.
+TEST(Catalog, ReconfigurableIsThePaperVariant) {
+  apps::PipConfig pip;
+  pip.reconfigurable = true;
+  pip.pips = 2;
+  apps::JpipConfig jpip;
+  jpip.reconfigurable = true;
+  jpip.pips = 2;
+  apps::BlurConfig blur;
+  blur.reconfigurable = true;
+  EXPECT_EQ(apps::builtin_xspcl("pip", {{"reconfigurable", "1"}}).value(),
+            apps::pip_xspcl(pip));
+  EXPECT_EQ(apps::builtin_xspcl("jpip", {{"pips", "1"},
+                                         {"reconfigurable", "1"}})
+                .value(),
+            apps::jpip_xspcl(jpip));
+  EXPECT_EQ(apps::builtin_xspcl("jpip", {{"reconfigurable", "1"},
+                                         {"pips", "1"}})
+                .value(),
+            apps::jpip_xspcl(jpip));
+  EXPECT_EQ(apps::builtin_xspcl("blur", {{"reconfigurable", "1"}}).value(),
+            apps::blur_xspcl(blur));
 }
 
 }  // namespace

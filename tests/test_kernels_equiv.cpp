@@ -6,10 +6,10 @@
 //    (re-implemented here, deliberately naive) across odd widths/offsets;
 //  - any row-range partition (the Hinch `slice` contract) reproduces the
 //    full-range run;
-//  - the table-driven Huffman engine decodes bit-identically to the
-//    bit-serial reference engine;
-//  - the fixed-point AAN IDCT stays within +-1 LSB of the float
-//    reference on random coefficient blocks.
+//  - the table-driven Huffman decoder decodes bit-identically to the
+//    bit-serial baseline decoder in tests/reference;
+//  - the fixed-point AAN IDCT stays within +-1 LSB of the float IDCT in
+//    tests/reference on random coefficient blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "media/kernels.hpp"
 #include "media/metrics.hpp"
 #include "media/synth.hpp"
+#include "reference/jpeg_reference.hpp"
 
 namespace {
 
@@ -327,7 +328,7 @@ TEST(FusedBlurHv, SliceInvariant) {
   }
 }
 
-TEST(FusedIdctDownscale, MatchesCompositionBothImpls) {
+TEST(FusedIdctDownscale, MatchesComposition) {
   media::SynthSpec spec{.seed = 920, .width = 88, .height = 56,
                         .format = PixelFormat::kGray};
   auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 0), 80);
@@ -336,18 +337,14 @@ TEST(FusedIdctDownscale, MatchesCompositionBothImpls) {
                                                     bytes.value().size());
   ASSERT_TRUE(coeffs.is_ok());
   const media::jpeg::CoeffPlane& y = coeffs.value().comps[0];
-  for (auto impl : {media::jpeg::IdctImpl::kFixedPoint,
-                    media::jpeg::IdctImpl::kFloatReference}) {
-    Frame full(PixelFormat::kGray, y.width, y.height);
-    media::jpeg::idct_component(y, full.plane(0), 0, y.blocks_h, impl);
-    for (int factor : {1, 2, 3, 4}) {
-      const int ow = y.width / factor, oh = y.height / factor;
-      Frame ref(PixelFormat::kGray, ow, oh), opt(PixelFormat::kGray, ow, oh);
-      media::downscale_box(full.plane(0), ref.plane(0), factor, 0, oh);
-      media::jpeg::idct_downscale(y, opt.plane(0), factor, 0, oh, impl);
-      EXPECT_TRUE(ref.equals(opt)) << "factor=" << factor << " impl="
-                                   << static_cast<int>(impl);
-    }
+  Frame full(PixelFormat::kGray, y.width, y.height);
+  media::jpeg::idct_component(y, full.plane(0), 0, y.blocks_h);
+  for (int factor : {1, 2, 3, 4}) {
+    const int ow = y.width / factor, oh = y.height / factor;
+    Frame ref(PixelFormat::kGray, ow, oh), opt(PixelFormat::kGray, ow, oh);
+    media::downscale_box(full.plane(0), ref.plane(0), factor, 0, oh);
+    media::jpeg::idct_downscale(y, opt.plane(0), factor, 0, oh);
+    EXPECT_TRUE(ref.equals(opt)) << "factor=" << factor;
   }
 }
 
@@ -380,6 +377,15 @@ TEST(FusedIdctDownscale, SliceInvariant) {
 
 // --- Huffman engine equivalence ---------------------------------------------
 
+// The bit-serial baseline decode of `data` (tests/reference).
+support::Result<media::jpeg::CoeffImage> decode_bit_serial(const uint8_t* data,
+                                                           size_t size) {
+  media::jpeg::CoeffImage img;
+  support::Status st = reference::jpeg::decode_bit_serial(data, size, &img);
+  if (!st.is_ok()) return st;
+  return img;
+}
+
 TEST(HuffmanEngines, TableDrivenMatchesBitSerial) {
   for (auto [w, h, q, rst] :
        {std::make_tuple(64, 48, 75, 0), std::make_tuple(70, 50, 90, 0),
@@ -390,12 +396,9 @@ TEST(HuffmanEngines, TableDrivenMatchesBitSerial) {
     FramePtr frame = media::make_synth_frame(spec, 1);
     auto bytes = media::jpeg::encode(*frame, q, rst);
     ASSERT_TRUE(bytes.is_ok());
-    auto fast = media::jpeg::decode_to_coefficients(
-        bytes.value().data(), bytes.value().size(),
-        media::jpeg::HuffmanImpl::kLookupTable);
-    auto ref = media::jpeg::decode_to_coefficients(
-        bytes.value().data(), bytes.value().size(),
-        media::jpeg::HuffmanImpl::kBitSerial);
+    auto fast = media::jpeg::decode_to_coefficients(bytes.value().data(),
+                                                    bytes.value().size());
+    auto ref = decode_bit_serial(bytes.value().data(), bytes.value().size());
     ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
     ASSERT_TRUE(ref.is_ok()) << ref.status().to_string();
     const auto& a = fast.value();
@@ -420,12 +423,10 @@ TEST(HuffmanEngines, BothRejectTruncationAtEveryPoint) {
   ASSERT_TRUE(bytes.is_ok());
   const auto& full = bytes.value();
   // Chopping the stream anywhere must produce a clean error from both
-  // engines, never a crash or a silently partial image.
+  // decoders, never a crash or a silently partial image.
   for (size_t len = 0; len < full.size(); ++len) {
-    auto fast = media::jpeg::decode_to_coefficients(
-        full.data(), len, media::jpeg::HuffmanImpl::kLookupTable);
-    auto ref = media::jpeg::decode_to_coefficients(
-        full.data(), len, media::jpeg::HuffmanImpl::kBitSerial);
+    auto fast = media::jpeg::decode_to_coefficients(full.data(), len);
+    auto ref = decode_bit_serial(full.data(), len);
     EXPECT_FALSE(fast.is_ok()) << "len=" << len;
     EXPECT_FALSE(ref.is_ok()) << "len=" << len;
   }
@@ -496,7 +497,7 @@ TEST(FixedIdct, WithinOneLsbOfFloatReference) {
     uint8_t fx[64];
     float fl[64];
     media::jpeg::idct_block_fixed(in, fx);
-    media::jpeg::idct_block_float(in, fl);
+    reference::jpeg::idct_block_float(in, fl);
     for (int i = 0; i < 64; ++i) {
       int err = std::abs(float_ref_pixel(fl[i]) - static_cast<int>(fx[i]));
       max_err = std::max(max_err, err);
@@ -515,15 +516,14 @@ TEST(FixedIdct, DcOnlyBlockIsFlat) {
     media::jpeg::idct_block_fixed(in, fx);
     for (int i = 1; i < 64; ++i) EXPECT_EQ(fx[i], fx[0]) << "dc=" << dc;
     float fl[64];
-    media::jpeg::idct_block_float(in, fl);
+    reference::jpeg::idct_block_float(in, fl);
     EXPECT_LE(std::abs(float_ref_pixel(fl[0]) - static_cast<int>(fx[0])), 1)
         << "dc=" << dc;
   }
 }
 
 TEST(FixedIdct, ComponentSliceInvariance) {
-  // idct_component over any block-row partition reproduces the whole run,
-  // for both IDCT implementations.
+  // idct_component over any block-row partition reproduces the whole run.
   media::SynthSpec spec{.seed = 700, .width = 88, .height = 56,
                         .format = PixelFormat::kGray};
   auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 0), 80);
@@ -532,15 +532,12 @@ TEST(FixedIdct, ComponentSliceInvariance) {
                                                     bytes.value().size());
   ASSERT_TRUE(coeffs.is_ok());
   const media::jpeg::CoeffPlane& y = coeffs.value().comps[0];
-  for (auto impl : {media::jpeg::IdctImpl::kFixedPoint,
-                    media::jpeg::IdctImpl::kFloatReference}) {
-    Frame whole(PixelFormat::kGray, y.width, y.height);
-    media::jpeg::idct_component(y, whole.plane(0), 0, y.blocks_h, impl);
-    Frame sliced(PixelFormat::kGray, y.width, y.height);
-    for (int b = 0; b < y.blocks_h; ++b)
-      media::jpeg::idct_component(y, sliced.plane(0), b, b + 1, impl);
-    EXPECT_TRUE(whole.equals(sliced));
-  }
+  Frame whole(PixelFormat::kGray, y.width, y.height);
+  media::jpeg::idct_component(y, whole.plane(0), 0, y.blocks_h);
+  Frame sliced(PixelFormat::kGray, y.width, y.height);
+  for (int b = 0; b < y.blocks_h; ++b)
+    media::jpeg::idct_component(y, sliced.plane(0), b, b + 1);
+  EXPECT_TRUE(whole.equals(sliced));
 }
 
 TEST(FixedIdct, RoundTripPsnrMatchesFloatReference) {
@@ -560,10 +557,8 @@ TEST(FixedIdct, RoundTripPsnrMatchesFloatReference) {
   FramePtr fl = media::make_frame(img.format, img.width, img.height);
   for (int p = 0; p < 3; ++p) {
     const auto& cp = img.comps[static_cast<size_t>(p)];
-    media::jpeg::idct_component(cp, fixed->plane(p), 0, cp.blocks_h,
-                                media::jpeg::IdctImpl::kFixedPoint);
-    media::jpeg::idct_component(cp, fl->plane(p), 0, cp.blocks_h,
-                                media::jpeg::IdctImpl::kFloatReference);
+    media::jpeg::idct_component(cp, fixed->plane(p), 0, cp.blocks_h);
+    reference::jpeg::idct_component_float(cp, fl->plane(p));
   }
   double psnr_fixed = media::psnr(*original, *fixed);
   double psnr_float = media::psnr(*original, *fl);

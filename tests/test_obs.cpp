@@ -37,7 +37,6 @@ TEST(TraceRecorder, RoundsCapacityToPowerOfTwo) {
 }
 
 TEST(TraceRecorder, RetainsEverythingUnderCapacity) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "built with HINCH_TRACING=OFF";
   TraceRecorder rec(8);
   for (uint64_t i = 0; i < 5; ++i)
     rec.counter(/*name=*/0, Category::kSched, /*ts=*/i,
@@ -50,7 +49,6 @@ TEST(TraceRecorder, RetainsEverythingUnderCapacity) {
 }
 
 TEST(TraceRecorder, WraparoundKeepsNewestAndCountsDropped) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "built with HINCH_TRACING=OFF";
   TraceRecorder rec(8);
   for (uint64_t i = 0; i < 20; ++i)
     rec.counter(0, Category::kSched, i, static_cast<int64_t>(i));
@@ -79,7 +77,6 @@ TEST(TraceSession, InterningIsStableAndShared) {
 }
 
 TEST(TraceSession, DroppedAndEmittedSumOverLanes) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "built with HINCH_TRACING=OFF";
   TraceSession session(4);
   session.begin_run(2, ClockDomain::kCycles);
   for (uint64_t i = 0; i < 6; ++i)
@@ -275,7 +272,6 @@ TracedSim run_traced_sim() {
 }
 
 TEST(GoldenTrace, SimTraceIsByteIdenticalAcrossRuns) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TracedSim a = run_traced_sim();
   TracedSim b = run_traced_sim();
   EXPECT_EQ(a.result.total_cycles, b.result.total_cycles);
@@ -284,7 +280,6 @@ TEST(GoldenTrace, SimTraceIsByteIdenticalAcrossRuns) {
 }
 
 TEST(GoldenTrace, SimTraceSchemaAndContent) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   TracedSim t = run_traced_sim();
 
   auto parsed = support::json::parse(t.json);
@@ -326,7 +321,6 @@ TEST(GoldenTrace, SimTraceSchemaAndContent) {
 }
 
 TEST(GoldenTrace, ThreadBackendTraceIsWellFormed) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   auto prog = build_reconfig_program();
   TraceSession session;
   hinch::RunConfig run;

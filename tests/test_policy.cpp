@@ -7,6 +7,7 @@
 // ThreadSanitizer workload, see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -125,7 +126,6 @@ SimAdaptRun run_sim_adapt() {
 }
 
 TEST(PolicyLoop, SimReactsToLoadStepDeterministically) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "built with HINCH_TRACING=OFF";
   SimAdaptRun a = run_sim_adapt();
   SimAdaptRun b = run_sim_adapt();
   // The loop reacted: one shed at the step, one restore after it.
@@ -196,6 +196,43 @@ TEST(PolicyLoop, ThreadRunWithConcurrentSnapshotPolling) {
   // can never flip back).
   EXPECT_EQ(r.sched.reconfigurations, 1u);
   EXPECT_EQ(live.get_int("live.iterations_done"), 100);
+}
+
+TEST(PolicyLoop, IterationsGaugeNeverDecreasesAndEndsExact) {
+  // Four workers publish live.iterations_done from concurrent job
+  // boundaries. A publisher holding a stale count must never move the
+  // gauge backwards (the policy above relies on it being monotonic),
+  // and the run must end with the exact iteration count.
+  for (int round = 0; round < 8; ++round) {
+    auto prog = build(kThreadAdaptSpec);
+    obs::MetricsRegistry live;
+    hinch::RunConfig run;
+    run.iterations = 100;
+    std::atomic<bool> done{false};
+    std::atomic<int> decreases{0};
+    std::thread poller([&] {
+      int64_t last = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const int64_t now = live.get_int("live.iterations_done");
+        if (now < last) decreases.fetch_add(1, std::memory_order_relaxed);
+        last = std::max(last, now);
+      }
+    });
+    hinch::run_on_threads(*prog, run, /*workers=*/4, /*trace=*/nullptr,
+                          &live);
+    // No waiting for the poller: the final value is published before
+    // run_on_threads returns.
+    EXPECT_EQ(live.get_int("live.iterations_done"), 100) << "round " << round;
+    done.store(true, std::memory_order_release);
+    poller.join();
+    EXPECT_EQ(decreases.load(), 0) << "round " << round;
+
+    // A reused registry restarts the count with the next run.
+    run.iterations = 30;
+    hinch::run_on_threads(*build(kThreadAdaptSpec), run, /*workers=*/4,
+                          /*trace=*/nullptr, &live);
+    EXPECT_EQ(live.get_int("live.iterations_done"), 30) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -184,15 +184,11 @@ TEST(SessionTrace, EachSessionGetsItsOwnTrace) {
   EXPECT_EQ(rb.status, SessionStatus::kDone);
   // Every executed job emits at least one span into its own session's
   // trace — and only there (lane counts are per-trace, so cross-talk
-  // would overshoot one and undershoot the other). With the
-  // instrumentation compiled out (HINCH_TRACING=OFF) the executor never
-  // touches the trace at all — no lanes, no events.
-  if (obs::kTraceCompiledIn) {
-    EXPECT_GE(ta.emitted(), ra.jobs);
-    EXPECT_GE(tb.emitted(), rb.jobs);
-    EXPECT_EQ(ta.lanes(), 2);
-    EXPECT_EQ(tb.lanes(), 2);
-  }
+  // would overshoot one and undershoot the other).
+  EXPECT_GE(ta.emitted(), ra.jobs);
+  EXPECT_GE(tb.emitted(), rb.jobs);
+  EXPECT_EQ(ta.lanes(), 2);
+  EXPECT_EQ(tb.lanes(), 2);
 }
 
 // --- frame-completion probe -------------------------------------------------

@@ -226,7 +226,7 @@ int serve(const ServeOptions& opts) {
       t.app = tokens[1];
       t.spec = std::move(spec).take();
       t.stream_depth = depth;
-      if (with_trace && obs::kTraceCompiledIn)
+      if (with_trace)
         t.trace = std::make_unique<obs::TraceSession>();
       int id = t.id;
       tenants.emplace(id, std::move(t));
@@ -316,8 +316,7 @@ int serve(const ServeOptions& opts) {
       auto it = find_tenant(tokens[1]);
       if (it == tenants.end()) continue;
       if (it->second.trace == nullptr) {
-        err("tenant was not opened with trace=1 (or tracing is "
-            "compiled out)");
+        err("tenant was not opened with trace=1");
         continue;
       }
       // Producers must be quiescent: wait out the batches first.

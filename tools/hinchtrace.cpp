@@ -16,13 +16,14 @@
 // restricts everything to that session's events.
 #include <algorithm>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -52,7 +53,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--session=", 0) == 0) {
-      session_filter = std::atoll(arg.c_str() + 10);
+      support::Result<int64_t> id = support::parse_int(arg.substr(10));
+      if (!id.is_ok() || id.value() < 0 || id.value() > INT_MAX) {
+        path = nullptr;  // answered with usage below
+        break;
+      }
+      session_filter = id.value();
     } else if (path == nullptr) {
       path = argv[i];
     } else {

@@ -10,6 +10,8 @@
 //                                         emit C++ glue code
 //   xspclc run      <spec.xml> [--backend=sim|threads] [--cores=N]
 //                   [--iterations=N]      load and execute directly
+//                                         (N: cores in [1, 256],
+//                                         iterations >= 1)
 //                   [--platform=p.xml]    simulate on an XML platform spec
 //                                         (tiles, core classes, interconnect;
 //                                         see specs/platform_2tile.xml)
@@ -18,8 +20,11 @@
 //                   [--metrics]           dump the unified metrics registry
 //   xspclc predict  <spec.xml> [--cores=N] [--iterations=N]
 //                   [--platform=p.xml]    profile 1 core, predict speedup
-//   xspclc emit-app <pip|jpip|blur> [--reconfigurable] [-o f]
+//   xspclc emit-app <app> [key=value ...] [-o f]
 //                                         dump a built-in application spec
+//                                         (apps::builtin_xspcl: pip, jpip,
+//                                         blur, mjpeg; e.g.
+//                                         reconfigurable=1)
 //   xspclc passes                         list the registered SP-IR passes
 //
 // Spec-taking subcommands accept --passes=a,b,c to replace the default
@@ -29,13 +34,15 @@
 // cost model at --cores=N; fuse-kernels rewrites chains registered in
 // components::standard_fusions(). Listing fuse-kernels before
 // auto-group is legal but diagnosed (groups feed the kernel matcher).
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "apps/apps.hpp"
+#include "apps/catalog.hpp"
 #include "components/components.hpp"
 #include "hinch/runtime.hpp"
 #include "obs/chrome_export.hpp"
@@ -46,6 +53,7 @@
 #include "sp/dot.hpp"
 #include "sp/pass.hpp"
 #include "sp/validate.hpp"
+#include "support/strings.hpp"
 #include "xspcl/codegen.hpp"
 #include "xspcl/loader.hpp"
 #include "xspcl/platform_xml.hpp"
@@ -68,7 +76,7 @@ struct Args {
   int cores = 1;
   long long iterations = 32;
   bool emit_main = true;
-  bool reconfigurable = false;
+  std::vector<std::string> app_params;  // emit-app key=value overrides
   bool passes_given = false;
   std::string passes;      // comma-separated, valid when passes_given
   std::string dump_after;  // pass name or "all"
@@ -76,6 +84,22 @@ struct Args {
   std::string platform;    // XML platform spec path (sim backend)
   bool metrics = false;
 };
+
+// A checked --flag=N value in [lo, hi]; false (the caller answers with
+// usage) on anything else.
+template <typename T>
+bool int_flag(const char* flag, const char* text, int64_t lo, int64_t hi,
+              T* out) {
+  support::Result<int64_t> v = support::parse_int(text);
+  if (!v.is_ok() || v.value() < lo || v.value() > hi) {
+    std::fprintf(stderr, "%s expects an integer in [%lld, %lld], got '%s'\n",
+                 flag, static_cast<long long>(lo), static_cast<long long>(hi),
+                 text);
+    return false;
+  }
+  *out = static_cast<T>(v.value());
+  return true;
+}
 
 bool parse_args(int argc, char** argv, Args* args) {
   if (argc < 3) return false;
@@ -94,9 +118,10 @@ bool parse_args(int argc, char** argv, Args* args) {
     } else if (const char* v = value("--backend=")) {
       args->backend = v;
     } else if (const char* v = value("--cores=")) {
-      args->cores = std::atoi(v);
+      if (!int_flag("--cores", v, 1, 256, &args->cores)) return false;
     } else if (const char* v = value("--iterations=")) {
-      args->iterations = std::atoll(v);
+      if (!int_flag("--iterations", v, 1, INT64_MAX, &args->iterations))
+        return false;
     } else if (const char* v = value("--passes=")) {
       args->passes_given = true;
       args->passes = v;
@@ -110,8 +135,9 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->metrics = true;
     } else if (a == "--no-main") {
       args->emit_main = false;
-    } else if (a == "--reconfigurable") {
-      args->reconfigurable = true;
+    } else if (args->command == "emit-app" && !a.empty() && a[0] != '-' &&
+               a.find('=') != std::string::npos) {
+      args->app_params.push_back(a);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
       return false;
@@ -168,31 +194,11 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, &args)) return usage();
 
   if (args.command == "emit-app") {
-    std::string text;
-    if (args.input == "pip") {
-      apps::PipConfig c;
-      if (args.reconfigurable) {
-        c.reconfigurable = true;
-        c.pips = 2;
-      }
-      text = apps::pip_xspcl(c);
-    } else if (args.input == "jpip") {
-      apps::JpipConfig c;
-      if (args.reconfigurable) {
-        c.reconfigurable = true;
-        c.pips = 2;
-      }
-      text = apps::jpip_xspcl(c);
-    } else if (args.input == "blur") {
-      apps::BlurConfig c;
-      c.reconfigurable = args.reconfigurable;
-      text = apps::blur_xspcl(c);
-    } else {
-      std::fprintf(stderr, "unknown app '%s' (pip, jpip, blur)\n",
-                   args.input.c_str());
-      return 2;
-    }
-    return write_output(args, text);
+    auto params = apps::parse_catalog_params(args.app_params);
+    if (!params.is_ok()) return fail(params.status());
+    auto text = apps::builtin_xspcl(args.input, params.value());
+    if (!text.is_ok()) return fail(text.status());
+    return write_output(args, text.value());
   }
 
   auto graph = xspcl::load_file(args.input);
@@ -310,13 +316,8 @@ int main(int argc, char** argv) {
   }
   if (args.command == "run") {
     std::unique_ptr<obs::TraceSession> trace;
-    if (!args.trace_out.empty()) {
-      if (!obs::kTraceCompiledIn)
-        std::fprintf(stderr,
-                     "warning: built with HINCH_TRACING=OFF; the trace "
-                     "will contain no events\n");
+    if (!args.trace_out.empty())
       trace = std::make_unique<obs::TraceSession>();
-    }
     // The registry doubles as the run's live-poll surface: executors
     // publish "live.*" gauges into it mid-run, which lets policy
     // components in the spec adapt (docs/OBSERVABILITY.md). The final
