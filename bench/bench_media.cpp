@@ -20,8 +20,10 @@
 #include "media/frame.hpp"
 #include "media/jpeg.hpp"
 #include "media/kernels.hpp"
+#include "media/metrics.hpp"
 #include "media/mjpeg.hpp"
 #include "media/synth.hpp"
+#include "reference/hash_reference.hpp"
 #include "reference/jpeg_reference.hpp"
 #include "support/check.hpp"
 #include "support/strings.hpp"
@@ -134,6 +136,22 @@ void bench_decode() {
       [&] { reference::jpeg::idct_component_float(y, out.plane(0)); },
       [&] { media::jpeg::idct_component(y, out.plane(0), 0, y.blocks_h); });
   add_row("idct_1080p_luma", f_ref, fixed, "IDCT of one 1080p luma plane");
+}
+
+// --- output verification ----------------------------------------------------
+
+// The sinks' checksum over one 1080p 4:2:0 frame: the byte-serial FNV-1a
+// it replaced (tests/reference) against media::frame_hash.
+void bench_frame_hash() {
+  media::SynthSpec spec{.seed = 11, .width = 1920, .height = 1080,
+                        .format = media::PixelFormat::kYuv420};
+  media::FramePtr f = media::make_synth_frame(spec, 0);
+  volatile uint64_t sink = 0;  // keeps both legs' results live
+  auto [fnv, words] = best_ms_pair(
+      reps(10), [&] { sink = reference::fnv1a_frame_hash(*f); },
+      [&] { sink = media::frame_hash(*f); });
+  add_row("frame_hash_1080p", fnv, words,
+          "hash of one 1080p 4:2:0 frame, word-parallel vs byte-serial");
 }
 
 // --- pixel kernels ----------------------------------------------------------
@@ -363,6 +381,7 @@ int main(int argc, char** argv) {
       media::kernel_dispatch_name(media::active_kernel_dispatch()));
   g_report.add_context("mode", g_smoke ? "smoke" : "full");
   bench_decode();
+  bench_frame_hash();
   bench_kernels();
   bench_throughput();
   g_report.write_json(out);
@@ -377,6 +396,14 @@ int main(int argc, char** argv) {
   if (headline < bar) {
     std::printf("FAIL: jpeg_decode_1080p speedup %.2fx < %.0fx\n", headline,
                 bar);
+    return 1;
+  }
+  // Verification bar: the word-parallel frame hash must be at least 4x
+  // the byte-serial FNV-1a it replaced (one source, no dispatch tier, so
+  // the bar holds under forced scalar too).
+  double hash = g_report.speedup_of("frame_hash_1080p");
+  if (hash < 4.0) {
+    std::printf("FAIL: frame_hash_1080p speedup %.2fx < 4x\n", hash);
     return 1;
   }
   // Fusion bar: the fused downscale+blend kernel must never lose to its

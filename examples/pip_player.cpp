@@ -6,9 +6,10 @@
 // composed video to pip_out.rawv.
 //
 // Usage: pip_player [--pips=N] [--frames=N] [--cores=N]
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <cstdlib>
 
 #include "apps/apps.hpp"
 #include "components/components.hpp"
@@ -16,6 +17,7 @@
 #include "hinch/runtime.hpp"
 #include "media/mjpeg.hpp"
 #include "media/y4m.hpp"
+#include "support/strings.hpp"
 #include "xspcl/loader.hpp"
 
 int main(int argc, char** argv) {
@@ -26,15 +28,23 @@ int main(int argc, char** argv) {
   config.slices = 8;
   config.store_output = true;
   int max_cores = 4;
+  // --flag=N with N in [lo, hi]; false on any other flag or value.
+  auto int_flag = [](const char* arg, const char* flag, int64_t lo,
+                     int64_t hi, int* out) {
+    size_t n = std::strlen(flag);
+    if (std::strncmp(arg, flag, n) != 0) return false;
+    support::Result<int64_t> v = support::parse_int(arg + n);
+    if (!v.is_ok() || v.value() < lo || v.value() > hi) return false;
+    *out = static_cast<int>(v.value());
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--pips=", 7) == 0)
-      config.pips = std::atoi(argv[i] + 7);
-    else if (std::strncmp(argv[i], "--frames=", 9) == 0)
-      config.frames = std::atoi(argv[i] + 9);
-    else if (std::strncmp(argv[i], "--cores=", 8) == 0)
-      max_cores = std::atoi(argv[i] + 8);
-    else {
-      std::fprintf(stderr, "usage: %s [--pips=N] [--frames=N] [--cores=N]\n",
+    if (!int_flag(argv[i], "--pips=", 1, 8, &config.pips) &&
+        !int_flag(argv[i], "--frames=", 1, INT_MAX, &config.frames) &&
+        !int_flag(argv[i], "--cores=", 1, 256, &max_cores)) {
+      std::fprintf(stderr,
+                   "usage: %s [--pips=1..8] [--frames=N>=1] "
+                   "[--cores=1..256]\n",
                    argv[0]);
       return 2;
     }

@@ -18,7 +18,7 @@ namespace apps {
 // Result of a hand-written sequential run.
 struct SeqResult {
   uint64_t cycles = 0;
-  uint64_t checksum = media::kFnvBasis;  // chained frame_hash of the output
+  uint64_t checksum = media::kHashSeed;  // chained frame_hash of the output
   int frames = 0;
   sim::MemStats mem;
 };

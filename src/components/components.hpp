@@ -60,10 +60,13 @@
 //                                  IDCT + box downscale through an
 //                                  lcm(8, factor)-row strip. params:
 //                                  plane, factor. Sliced by output rows.
-//   frame_sink     in:"in"         Consumes frames; FNV checksum, frame
-//                                  count, optional retention (store=1).
-//   yuv_sink       in:"y","u","v"  Reassembles per-plane gray frames;
-//                                  checksum/retention like frame_sink.
+//   frame_sink     in:"in"         Consumes frames; chained frame_hash
+//                                  checksum, frame count, optional
+//                                  retention (store=1).
+//   yuv_sink       in:"y","u","v"  Hashes per-plane gray frames in
+//                                  place (same checksum as the
+//                                  reassembled frame); reassembles only
+//                                  to retain (store=1).
 //   event_ticker   (no ports)      Sends `event` to `queue` every
 //                                  `period` iterations (user-interaction
 //                                  stand-in driving reconfiguration).

@@ -5,10 +5,16 @@
 #pragma once
 
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "media/frame.hpp"
+#include "media/metrics.hpp"
 #include "media/mjpeg.hpp"
+
+namespace hinch {
+class Program;
+}
 
 namespace components {
 
@@ -19,9 +25,12 @@ class SinkState {
   media::FramePtr frame(int i) const;  // only when built with store=1
 
   void record(const media::Frame& f, bool store);
+  // Chains plane_hash over the planes of one output frame without
+  // assembling it; the checksum equals record()'s on the same pixels.
+  void record_planes(std::span<const media::ConstPlaneView> planes);
   void clear() {
     std::lock_guard<std::mutex> lock(mutex);
-    hash = 14695981039346656037ULL;
+    hash = media::kHashSeed;
     count = 0;
     stored.clear();
   }
@@ -29,7 +38,7 @@ class SinkState {
  private:
   friend class SinkStateTestPeer;
   mutable std::mutex mutex;
-  uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis
+  uint64_t hash = media::kHashSeed;
   int count = 0;
   std::vector<media::FramePtr> stored;
 };
@@ -48,5 +57,10 @@ class MjpegSinkAccess {
   virtual ~MjpegSinkAccess() = default;
   virtual media::MjpegClip clip() const = 0;
 };
+
+// One number over every sink component's checksum, in component order:
+// equal iff all output video of the program's run is equal. 0 when the
+// program has no sink.
+uint64_t output_checksum(hinch::Program& prog);
 
 }  // namespace components

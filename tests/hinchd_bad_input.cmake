@@ -25,6 +25,7 @@ file(WRITE "${input}"
   "open pip width=96 height=64 frames=8 depth=3\n"
   "feed 0 abc\n"
   "feed 0 99999999999999999999\n"
+  "feed 0 99999999999999\n"
   "feed 0 0\n"
   "wait 99999999999\n"
   "cap -1\n"
@@ -47,8 +48,8 @@ if(NOT rc EQUAL 0)
 endif()
 string(REGEX MATCHALL "(^|\n)err [^\n]*" errs "${out}")
 list(LENGTH errs nerr)
-if(NOT nerr EQUAL 18)
-  message(FATAL_ERROR "expected 18 err lines, got ${nerr}")
+if(NOT nerr EQUAL 19)
+  message(FATAL_ERROR "expected 19 err lines, got ${nerr}")
 endif()
 foreach(expect
     "\nok open 0 pip\n"

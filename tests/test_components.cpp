@@ -3,6 +3,7 @@
 // sources, plane modes, reconfiguration requests, sink retention.
 #include <gtest/gtest.h>
 
+#include "apps/mjpeg.hpp"
 #include "components/clip_cache.hpp"
 #include "components/components.hpp"
 #include "components/sinks.hpp"
@@ -322,7 +323,43 @@ TEST(Sinks, StoreOffKeepsOnlyChecksum) {
   const components::SinkAccess* sink = find_sink(*prog);
   ASSERT_TRUE(sink);
   EXPECT_EQ(sink->sink().frames(), 5);
-  EXPECT_NE(sink->sink().checksum(), media::kFnvBasis);
+  EXPECT_NE(sink->sink().checksum(), media::kHashSeed);
+}
+
+// yuv_sink hashes the planes in place when it keeps nothing; the
+// checksum and the simulated cost must equal the reassembling store=1
+// path's, and both the frame_hash chain over the stored frames.
+TEST(Sinks, YuvSinkStoreOffMatchesStoreOn) {
+  auto run_mjpeg = [](bool store, uint64_t* cycles) {
+    apps::MjpegDecodeConfig c;
+    c.width = 37;  // odd: 4:2:0 chroma planes round up to 19x13
+    c.height = 25;
+    c.clip_frames = 3;
+    c.slices = 2;
+    c.store_output = store;
+    auto prog = build(apps::mjpeg_xspcl(c));
+    hinch::RunConfig config;
+    config.iterations = 5;
+    *cycles = hinch::run_on_sim(*prog, config, hinch::SimParams{}).total_cycles;
+    return prog;
+  };
+  uint64_t off_cycles = 0, on_cycles = 0;
+  auto off = run_mjpeg(false, &off_cycles);
+  auto on = run_mjpeg(true, &on_cycles);
+  ASSERT_TRUE(off && on);
+  const components::SinkState& off_sink = find_sink(*off)->sink();
+  const components::SinkState& on_sink = find_sink(*on)->sink();
+  EXPECT_EQ(off_sink.frames(), 5);
+  EXPECT_EQ(on_sink.frames(), 5);
+  EXPECT_EQ(off_sink.checksum(), on_sink.checksum());
+  EXPECT_EQ(off_cycles, on_cycles);
+  uint64_t chained = media::kHashSeed;
+  for (int i = 0; i < on_sink.frames(); ++i) {
+    media::FramePtr f = on_sink.frame(i);
+    EXPECT_EQ(f->format(), media::PixelFormat::kYuv420);
+    chained = media::frame_hash(*f, chained);
+  }
+  EXPECT_EQ(on_sink.checksum(), chained);
 }
 
 TEST(Sinks, ResetBetweenRunsClearsState) {

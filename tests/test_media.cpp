@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <set>
 
 #include "media/frame.hpp"
 #include "media/kernels.hpp"
@@ -279,6 +281,83 @@ TEST(Metrics, FrameHashChainsAndDiscriminates) {
   EXPECT_EQ(ha, media::frame_hash(*a));
   EXPECT_NE(ha, media::frame_hash(*b));
   EXPECT_NE(media::frame_hash(*b, ha), media::frame_hash(*a, ha));
+}
+
+// Odd-sized 4:2:0: the 37x25 luma plane is 925 bytes and each 19x13
+// chroma plane 247, so every plane runs the 32-byte stripes, the 8-byte
+// tail and the 1-byte tail.
+FramePtr odd_frame(int index) {
+  media::SynthSpec spec{.seed = 9, .width = 37, .height = 25,
+                        .format = PixelFormat::kYuv420};
+  return media::make_synth_frame(spec, index);
+}
+
+TEST(FrameHash, EveryByteMatters) {
+  FramePtr f = odd_frame(0)->clone();
+  for (int p = 0; p < f->planes(); ++p) {
+    size_t n = f->plane(p).bytes();
+    ASSERT_GE(n % 32, 8u) << "plane " << p;
+    ASSERT_NE(n % 8, 0u) << "plane " << p;
+  }
+  std::set<uint64_t> seen = {media::frame_hash(*f)};
+  uint8_t* data = f->raw();
+  for (size_t i = 0; i < f->bytes(); ++i) {
+    for (uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}}) {
+      data[i] ^= flip;
+      EXPECT_TRUE(seen.insert(media::frame_hash(*f)).second)
+          << "byte " << i << " flip " << int{flip};
+      data[i] ^= flip;
+    }
+  }
+  EXPECT_EQ(seen.size(), 1 + 2 * f->bytes());
+}
+
+TEST(FrameHash, ChainIsOrderSensitive) {
+  FramePtr a = odd_frame(0);
+  FramePtr b = odd_frame(1);
+  const uint64_t s = media::kHashSeed;
+  EXPECT_NE(media::frame_hash(*b, media::frame_hash(*a, s)),
+            media::frame_hash(*a, media::frame_hash(*b, s)));
+  // U and V swapped: same bytes, other plane order.
+  uint64_t y = media::plane_hash(a->plane(0), s);
+  EXPECT_NE(media::plane_hash(a->plane(2), media::plane_hash(a->plane(1), y)),
+            media::plane_hash(a->plane(1), media::plane_hash(a->plane(2), y)));
+  FramePtr swapped = a->clone();
+  media::copy_plane(a->plane(1), swapped->plane(2), 0, a->plane(1).height);
+  media::copy_plane(a->plane(2), swapped->plane(1), 0, a->plane(2).height);
+  EXPECT_NE(media::frame_hash(*swapped), media::frame_hash(*a));
+}
+
+TEST(FrameHash, PlaneChainEqualsFrame) {
+  for (PixelFormat fmt :
+       {PixelFormat::kYuv420, PixelFormat::kYuv444, PixelFormat::kGray}) {
+    media::SynthSpec spec{.seed = 3, .width = 45, .height = 19,
+                          .format = fmt};
+    FramePtr f = media::make_synth_frame(spec, 0);
+    uint64_t chained = 77;
+    for (int p = 0; p < f->planes(); ++p) {
+      // Each plane copied out to its own gray frame, as the per-plane
+      // task graphs deliver them to yuv_sink.
+      ConstPlaneView src = f->plane(p);
+      Frame gray(PixelFormat::kGray, src.width, src.height);
+      media::copy_plane(src, gray.plane(0), 0, src.height);
+      chained = media::plane_hash(gray.plane(0), chained);
+    }
+    EXPECT_EQ(chained, media::frame_hash(*f, 77));
+  }
+}
+
+// Where the tails agree with XXH64's (the input length mod 8 is below
+// 4, so XXH64's 4-byte step never runs) the hash is XXH64 itself; these
+// are its published values for seed 0.
+TEST(FrameHash, MatchesXxh64Vectors) {
+  auto h = [](const char* s) {
+    return media::hash_bytes(reinterpret_cast<const uint8_t*>(s),
+                             std::strlen(s), 0);
+  };
+  EXPECT_EQ(h(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(h("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(h("abc"), 0x44BC2CF5AD770999ULL);
 }
 
 // --- containers ----------------------------------------------------------------

@@ -28,6 +28,7 @@
 
 namespace {
 
+using components::output_checksum;
 using hinch::Program;
 using hinch::SessionConfig;
 using hinch::SessionExecutor;
@@ -51,23 +52,6 @@ std::unique_ptr<Program> build(const std::string& spec) {
   auto prog = xspcl::build_program(spec, hinch::ComponentRegistry::global());
   SUP_CHECK_MSG(prog.is_ok(), prog.status().message().c_str());
   return std::move(prog).take();
-}
-
-// Chained FNV over every sink's checksum — equal iff all output video
-// is equal (same reduction hinchd reports per batch).
-uint64_t output_checksum(Program& prog) {
-  uint64_t hash = 14695981039346656037ULL;
-  for (int i = 0; i < prog.component_count(); ++i) {
-    const auto* access =
-        dynamic_cast<const components::SinkAccess*>(&prog.component(i));
-    if (access == nullptr) continue;
-    uint64_t c = access->sink().checksum();
-    for (int b = 0; b < 8; ++b) {
-      hash ^= (c >> (8 * b)) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
-  }
-  return hash;
 }
 
 SessionPtr open(SessionExecutor& exec, std::unique_ptr<Program> prog,

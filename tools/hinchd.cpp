@@ -14,7 +14,7 @@
 //                               extra keys: trace=1 attaches a per-session
 //                               trace (timestamps relative to each batch)
 //                               -> ok open <tid> <app>
-//   feed <tid> <iterations>     run one batch of iterations
+//   feed <tid> <iterations>     run one batch of 1..2^20 iterations
 //                               -> ok feed <tid> <iterations>
 //   wait <tid>                  block until the tenant's batches finish
 //                               -> done <tid> batch=<n> status=<s>
@@ -77,29 +77,15 @@ struct Tenant {
   int64_t iterations_fed = 0;
 };
 
-// Chained FNV over every sink component's checksum: one number that is
-// equal iff all output video of the batch is equal.
-uint64_t output_checksum(hinch::Program& prog) {
-  uint64_t hash = 14695981039346656037ULL;
-  bool any = false;
-  for (int i = 0; i < prog.component_count(); ++i) {
-    const auto* access =
-        dynamic_cast<const components::SinkAccess*>(&prog.component(i));
-    if (access == nullptr) continue;
-    any = true;
-    uint64_t c = access->sink().checksum();
-    for (int b = 0; b < 8; ++b) {
-      hash ^= (c >> (8 * b)) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
-  }
-  return any ? hash : 0;
-}
-
 // Deepest stream window a tenant may open with: 8x the deepest window
 // bench/ablation_pipeline_depth sweeps. Every stream allocates `depth`
 // packet slots up front, so an unbounded depth= is an allocation bomb.
 constexpr int64_t kMaxTenantDepth = 64;
+
+// Most iterations one `feed` may ask for (2^20: over eleven hours of
+// 25 fps video). A `wait` blocks until every fed batch is done, so an
+// unbounded count would let one line wedge the tenant's client forever.
+constexpr int64_t kMaxFeedIterations = int64_t{1} << 20;
 
 struct ServeOptions {
   int workers = 4;
@@ -163,7 +149,7 @@ int serve(const ServeOptions& opts) {
                   static_cast<long long>(r.iterations_done),
                   static_cast<unsigned long long>(r.jobs),
                   static_cast<unsigned long long>(
-                      output_checksum(b.session->program())),
+                      components::output_checksum(b.session->program())),
                   r.wall_seconds);
     }
   };
@@ -239,7 +225,7 @@ int serve(const ServeOptions& opts) {
       auto it = find_tenant(tokens[1]);
       if (it == tenants.end()) continue;
       std::optional<int64_t> parsed_iters =
-          int_arg(tokens[2], "iterations", 1, INT64_MAX);
+          int_arg(tokens[2], "iterations", 1, kMaxFeedIterations);
       if (!parsed_iters) continue;
       const long long iters = *parsed_iters;
       Tenant& t = it->second;

@@ -117,6 +117,11 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->name = v;
     } else if (const char* v = value("--backend=")) {
       args->backend = v;
+      if (args->backend != "sim" && args->backend != "threads") {
+        std::fprintf(stderr, "--backend expects sim or threads, got '%s'\n",
+                     v);
+        return false;
+      }
     } else if (const char* v = value("--cores=")) {
       if (!int_flag("--cores", v, 1, 256, &args->cores)) return false;
     } else if (const char* v = value("--iterations=")) {
